@@ -3,7 +3,7 @@
 //! Three rungs of increasing scale, each resolving the paper's hardest
 //! name ("Wei Wang", 141 references / 14 entities) through the durable
 //! run manager and then measuring crash recovery: the run is killed at
-//! its final checkpoint write and resumed cold, so the rung reports both
+//! its final checkpoint write and resumed, so the rung reports both
 //! the uninterrupted cost and how much of it a resume actually pays.
 //!
 //! * `laptop` — the standard evaluation world (2K authors), seconds.
@@ -131,10 +131,7 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
     let prepare_alloc = a1.delta();
 
     let refs = engine.references_of(NAME);
-    let opts = RunOptions {
-        chunk_size: 64,
-        ..Default::default()
-    };
+    let opts = RunOptions::default();
 
     // Cold durable run through a counting Vfs: the uninterrupted cost and
     // the length of the write schedule (the sweep space for recovery).
@@ -157,8 +154,8 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
     assert!(cold.outcome.is_complete(), "cold run degraded");
 
     // Recovery: a fresh run killed at its final write (the clustering
-    // checkpoint), then resumed cold. The resume restores profiles and
-    // similarity from disk and recomputes only the clustering stage.
+    // checkpoint), then resumed. The resume restores the similarity
+    // tables from disk and recomputes only the clustering stage.
     let _ = std::fs::remove_dir_all(&run_dir);
     let fatal = RunOptions {
         max_retries: 0,
@@ -193,7 +190,7 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
          \"prepare\": {{ \"allocs\": {}, \"bytes_alloc\": {} }},\n    \
          \"resolve\": {{ \"allocs\": {}, \"bytes_alloc\": {} }}\n  }},\n  \
          \"recovery\": {{\n    \"total_writes\": {total_writes},\n    \"killed_at_write\": {total_writes},\n    \
-         \"chunks_committed\": {},\n    \"profiles_restored\": {},\n    \"similarity_restored\": {},\n    \
+         \"similarity_restored\": {},\n    \
          \"resume_ms\": {resume_ms},\n    \"resume_fraction\": {:.4}\n  }}\n}}\n",
         r.scenario,
         r.config.n_authors,
@@ -215,8 +212,6 @@ fn run_rung(r: &Rung) -> Result<(), BenchError> {
         prepare_alloc.bytes_alloc,
         resolve_alloc.allocs,
         resolve_alloc.bytes_alloc,
-        cold.run.chunks_committed,
-        resumed.run.profiles_restored,
         resumed.run.similarity_restored,
         resume_ms as f64 / cold_ms.max(1) as f64,
     );

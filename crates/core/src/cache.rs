@@ -73,46 +73,12 @@ impl ProfileCache {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
-    /// All entries, in unspecified order (checkpointing sorts them).
-    pub fn snapshot(&self) -> Vec<(TupleRef, Arc<Profile>)> {
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .iter()
-                    .map(|(&r, p)| (r, Arc::clone(p)))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-
-    /// Drop every cached profile, releasing the memory (the `Arc`s may
-    /// keep individual profiles alive while in use elsewhere). Used by the
-    /// run manager's memory-budget guard: evicting is always safe —
-    /// profiles are pure caches of deterministic computation, so a later
-    /// run recomputes bit-identical values.
-    pub fn evict_all(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-    }
-
     /// Drop exactly the given references' profiles, keeping the rest warm.
     /// Used by incremental updates: only references whose neighborhoods an
     /// update touched need recomputation, everything else stays cached.
     pub fn evict(&self, refs: &[TupleRef]) {
         for r in refs {
             self.shard(r).lock().remove(r);
-        }
-    }
-
-    /// Replace the whole cache (checkpoint restore).
-    pub fn replace(&self, entries: Vec<(TupleRef, Arc<Profile>)>) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-        for (r, p) in entries {
-            self.insert(r, p);
         }
     }
 }
@@ -149,7 +115,6 @@ mod tests {
             assert!(cache.contains(&r));
             assert_eq!(cache.get(&r).unwrap().reference, r);
         }
-        assert_eq!(cache.snapshot().len(), 100);
     }
 
     #[test]
@@ -175,23 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_all_empties_every_shard_but_keeps_live_arcs_valid() {
-        let cache = ProfileCache::new();
-        let (r, p) = fake_profile(42, false);
-        cache.insert(r, Arc::clone(&p));
-        for tid in 0..50 {
-            let (r, p) = fake_profile(tid, false);
-            cache.insert(r, p);
-        }
-        let held = cache.get(&r).unwrap();
-        cache.evict_all();
-        assert_eq!(cache.len(), 0);
-        assert!(cache.get(&r).is_none());
-        // The evicted entry stays usable through outstanding handles.
-        assert_eq!(held.reference, r);
-    }
-
-    #[test]
     fn evict_drops_only_the_named_references() {
         let cache = ProfileCache::new();
         for tid in 0..20 {
@@ -211,19 +159,5 @@ mod tests {
         // Evicting a missing reference is a no-op.
         cache.evict(&gone);
         assert_eq!(cache.len(), 17);
-    }
-
-    #[test]
-    fn replace_installs_exactly_the_given_entries() {
-        let cache = ProfileCache::new();
-        for tid in 0..10 {
-            let (r, p) = fake_profile(tid, false);
-            cache.insert(r, p);
-        }
-        let fresh: Vec<_> = (100..103).map(|tid| fake_profile(tid, false)).collect();
-        cache.replace(fresh);
-        assert_eq!(cache.len(), 3);
-        assert!(cache.get(&TupleRef::new(RelId(0), TupleId(5))).is_none());
-        assert!(cache.contains(&TupleRef::new(RelId(0), TupleId(101))));
     }
 }

@@ -1,14 +1,16 @@
-//! Engine checkpoints: persist a trained [`Distinct`] and resume later.
+//! Engine checkpoints, and the frame every persisted engine file shares.
 //!
-//! A checkpoint captures everything training and profiling paid for —
-//! learned path weights, the full learned model (hyperplanes + Platt
-//! calibration), the tuned `min_sim`, and the profile cache — so a
-//! restarted process skips straight to resolution.
+//! A checkpoint captures what training paid for — learned path weights,
+//! the full learned model (hyperplanes + Platt calibration) and the
+//! tuned `min_sim` — so a restarted process skips straight to
+//! resolution. It does not store profiles: a profile is a pure function
+//! of the catalog and the join-path set, and recomputing one is cheaper
+//! than decoding it, so the profile cache lives in memory only.
 //!
 //! File format (single file):
 //!
 //! ```text
-//! DISTINCTCKPT2\n
+//! DISTINCTCKPT3\n
 //! <16 hex chars: FNV-1a-64 of the payload bytes>\n
 //! <JSON payload>
 //! ```
@@ -18,27 +20,26 @@
 //! the payload. A file written by a build with a different version is
 //! refused with the typed [`DistinctError::VersionMismatch`] — never
 //! reinterpreted under this build's schema, and never conflated with
-//! corruption (the bytes are intact, just foreign).
+//! corruption (the bytes are intact, just foreign). [`Frame`] is the one
+//! implementation of this framing; the run manager's run-directory files
+//! use it too, under their own magic.
 //!
-//! Writes go to a `*.tmp` sibling first and are renamed into place, via
-//! the same [`Vfs`](relstore::Vfs) abstraction the store uses — so the
+//! Saves commit through [`relstore::write_atomic`] (temp + rename) over
+//! the [`Vfs`](relstore::Vfs) abstraction the store uses — so the
 //! fault-injection harness can kill a checkpoint save mid-write and prove
 //! the previous checkpoint survives. Loads verify the checksum before
 //! parsing a byte: a torn or bit-flipped checkpoint surfaces as
 //! [`DistinctError::CorruptCheckpoint`], never as a silently wrong model.
 //!
-//! A checkpoint is only valid against the catalog it was built from: the
-//! profile cache stores graph node ids. Loading validates the join-path
-//! descriptions and the catalog's tuple count and refuses on mismatch.
+//! A checkpoint is only valid against the engine it was trained on:
+//! loading validates the join-path descriptions (weights are per path)
+//! and the catalog's tuple count, and refuses on mismatch.
 
-use crate::features::Profile;
 use crate::learn::{LearnedModel, PathWeights};
 use crate::pipeline::{Distinct, DistinctError};
-use relgraph::{Propagation, WeightedSet};
-use relstore::{fnv1a64, FxHashMap, StdVfs, TupleRef, Vfs};
+use relstore::{fnv1a64, write_atomic, StdVfs, Vfs};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::Arc;
 
 /// Magic prefix of a checkpoint file's header line; the numeric suffix is
 /// the format version.
@@ -47,74 +48,105 @@ pub const CHECKPOINT_MAGIC_PREFIX: &str = "DISTINCTCKPT";
 /// Checkpoint format version this build reads and writes. Bumped whenever
 /// the payload schema changes shape; loads of any other version fail with
 /// [`DistinctError::VersionMismatch`].
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 /// Magic header line of a checkpoint file (prefix + format version).
-pub const CHECKPOINT_MAGIC: &str = "DISTINCTCKPT2";
+pub const CHECKPOINT_MAGIC: &str = "DISTINCTCKPT3";
 
-#[derive(Debug, Serialize, Deserialize)]
-pub(crate) struct PropEntry {
-    forward: Vec<(u32, f64)>,
-    backward: Vec<(u32, f64)>,
+/// A framed file kind: magic line `<prefix><version>`, FNV-1a-64
+/// checksum line over the payload, JSON payload whose `format` field
+/// repeats the version.
+pub(crate) struct Frame {
+    pub(crate) prefix: &'static str,
+    pub(crate) version: u32,
 }
 
-/// Persisted form of one reference profile. Shared by the engine
-/// checkpoint and the run manager's per-chunk profile checkpoints.
-#[derive(Debug, Serialize, Deserialize)]
-pub(crate) struct ProfileEntry {
-    rel: u32,
-    tid: u32,
-    props: Vec<PropEntry>,
+const CHECKPOINT_FRAME: Frame = Frame {
+    prefix: CHECKPOINT_MAGIC_PREFIX,
+    version: CHECKPOINT_FORMAT_VERSION,
+};
+
+/// The typed error for a persisted file that fails verification.
+pub(crate) fn corrupt(path: &Path, reason: impl Into<String>) -> DistinctError {
+    DistinctError::CorruptCheckpoint {
+        path: path.display().to_string(),
+        reason: reason.into(),
+    }
 }
 
-/// Encode one profile for persistence. Deterministic: the hash-ordered
-/// propagation maps are emitted as sorted pair lists, so identical
-/// profiles always serialize to identical bytes.
-pub(crate) fn encode_profile(p: &Profile) -> ProfileEntry {
-    ProfileEntry {
-        rel: p.reference.rel.0,
-        tid: p.reference.tid.0,
-        props: p
-            .props
-            .iter()
-            .map(|prop| PropEntry {
-                forward: sorted_pairs(&prop.forward),
-                backward: sorted_pairs(&prop.backward),
+impl Frame {
+    /// Serialize `value` and frame it; `what` names it in errors.
+    pub(crate) fn encode<T: Serialize>(
+        &self,
+        what: &str,
+        value: &T,
+    ) -> Result<String, DistinctError> {
+        let json = serde_json::to_string(value).map_err(|e| {
+            DistinctError::Store(relstore::StoreError::Io {
+                context: format!("serialize {what}"),
+                reason: e.to_string(),
             })
-            .collect(),
+        })?;
+        Ok(format!(
+            "{}{}\n{:016x}\n{json}",
+            self.prefix,
+            self.version,
+            fnv1a64(json.as_bytes())
+        ))
     }
-}
 
-/// Decode one persisted profile. `None` when the per-path propagation
-/// count disagrees with the engine's path set (a checkpoint from a
-/// different schema).
-pub(crate) fn decode_profile(entry: &ProfileEntry, n_paths: usize) -> Option<Profile> {
-    if entry.props.len() != n_paths {
-        return None;
-    }
-    let reference = TupleRef::new(relstore::RelId(entry.rel), relstore::TupleId(entry.tid));
-    let mut props = Vec::with_capacity(n_paths);
-    let mut sets = Vec::with_capacity(n_paths);
-    for p in &entry.props {
-        let to_map = |pairs: &[(u32, f64)]| {
-            pairs
-                .iter()
-                .map(|&(n, w)| (relgraph::NodeId(n), w))
-                .collect::<FxHashMap<relgraph::NodeId, f64>>()
+    /// Verify the frame and parse its payload. Another version — in the
+    /// magic line or in the payload's `format` field — is a foreign-build
+    /// file ([`DistinctError::VersionMismatch`]); anything else that fails
+    /// is corruption.
+    pub(crate) fn decode<T: Deserialize>(
+        &self,
+        path: &Path,
+        bytes: &[u8],
+        format_of: impl Fn(&T) -> u32,
+    ) -> Result<T, DistinctError> {
+        let mismatch = |found| DistinctError::VersionMismatch {
+            path: path.display().to_string(),
+            found,
+            expected: self.version,
         };
-        let prop = Propagation {
-            forward: to_map(&p.forward),
-            backward: to_map(&p.backward),
-        };
-        sets.push(WeightedSet::from_map(prop.forward.clone()));
-        props.push(prop);
+        let text =
+            std::str::from_utf8(bytes).map_err(|_| corrupt(path, "file is not valid UTF-8"))?;
+        let mut lines = text.splitn(3, '\n');
+        let magic = lines.next().unwrap_or("");
+        let version = magic.strip_prefix(self.prefix);
+        if version != Some(self.version.to_string().as_str()) {
+            if let Some(found) = version.and_then(|v| v.parse::<u32>().ok()) {
+                return Err(mismatch(found));
+            }
+            return Err(corrupt(
+                path,
+                format!(
+                    "bad magic `{magic}` (expected {}{})",
+                    self.prefix, self.version
+                ),
+            ));
+        }
+        let declared = lines
+            .next()
+            .ok_or_else(|| corrupt(path, "missing checksum line"))?;
+        let json = lines
+            .next()
+            .ok_or_else(|| corrupt(path, "missing payload"))?;
+        let actual = format!("{:016x}", fnv1a64(json.as_bytes()));
+        if declared != actual {
+            return Err(corrupt(
+                path,
+                format!("checksum mismatch: header {declared}, payload {actual}"),
+            ));
+        }
+        let value: T = serde_json::from_str(json)
+            .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
+        match format_of(&value) {
+            found if found == self.version => Ok(value),
+            found => Err(mismatch(found)),
+        }
     }
-    Some(Profile {
-        reference,
-        props,
-        sets,
-        placeholder: false,
-    })
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -124,26 +156,11 @@ struct CheckpointPayload {
     format: u32,
     /// Join-path descriptions — the checkpoint's compatibility key.
     paths: Vec<String>,
-    /// Tuple count of the catalog the profiles were computed against
-    /// (graph node ids are only meaningful for that exact catalog).
+    /// Tuple count of the catalog the engine was trained on.
     catalog_tuples: u64,
     min_sim: f64,
     weights: PathWeights,
     learned: Option<LearnedModel>,
-    profiles: Vec<ProfileEntry>,
-}
-
-fn corrupt(path: &Path, reason: impl Into<String>) -> DistinctError {
-    DistinctError::CorruptCheckpoint {
-        path: path.display().to_string(),
-        reason: reason.into(),
-    }
-}
-
-fn sorted_pairs(map: &FxHashMap<relgraph::NodeId, f64>) -> Vec<(u32, f64)> {
-    let mut v: Vec<(u32, f64)> = map.iter().map(|(n, &w)| (n.0, w)).collect();
-    v.sort_unstable_by_key(|&(n, _)| n);
-    v
 }
 
 impl Distinct {
@@ -154,13 +171,6 @@ impl Distinct {
         path: &Path,
         vfs: &mut dyn Vfs,
     ) -> Result<(), DistinctError> {
-        let mut profiles: Vec<ProfileEntry> = self
-            .profile_cache_snapshot()
-            .into_iter()
-            .map(|(_, p)| encode_profile(&p))
-            .collect();
-        // Deterministic output: the cache iterates in hash order.
-        profiles.sort_unstable_by_key(|e| (e.rel, e.tid));
         let payload = CheckpointPayload {
             format: CHECKPOINT_FORMAT_VERSION,
             paths: self.paths().descriptions.clone(),
@@ -168,35 +178,17 @@ impl Distinct {
             min_sim: self.config().min_sim,
             weights: self.weights().clone(),
             learned: self.learned().cloned(),
-            profiles,
         };
-        let json = serde_json::to_string(&payload).map_err(|e| {
-            DistinctError::Store(relstore::StoreError::Io {
-                context: "serialize checkpoint".into(),
-                reason: e.to_string(),
-            })
+        let blob = CHECKPOINT_FRAME.encode("checkpoint", &payload)?;
+        let name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
+            DistinctError::Config(format!("bad checkpoint path {}", path.display()))
         })?;
-        let blob = format!(
-            "{CHECKPOINT_MAGIC}\n{:016x}\n{json}",
-            fnv1a64(json.as_bytes())
-        );
-        let tmp = path.with_extension("tmp");
-        vfs.write(&tmp, blob.as_bytes()).map_err(|e| {
-            DistinctError::Store(relstore::StoreError::Io {
-                context: "write checkpoint".into(),
-                reason: e.to_string(),
-            })
-        })?;
-        vfs.rename(&tmp, path).map_err(|e| {
-            DistinctError::Store(relstore::StoreError::Io {
-                context: "commit checkpoint".into(),
-                reason: e.to_string(),
-            })
-        })
+        let dir = path.parent().unwrap_or(Path::new(""));
+        write_atomic(vfs, dir, name, blob.as_bytes()).map_err(DistinctError::Store)
     }
 
     /// Serialize the engine's trained state (weights, learned model,
-    /// `min_sim`, profile cache) to `path`, atomically.
+    /// `min_sim`) to `path`, atomically.
     pub fn save_checkpoint(&self, path: &Path) -> Result<(), DistinctError> {
         self.save_checkpoint_with(path, &mut StdVfs)
     }
@@ -216,50 +208,8 @@ impl Distinct {
                 reason: e.to_string(),
             })
         })?;
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|_| corrupt(path, "checkpoint is not valid UTF-8"))?;
-        let mut lines = text.splitn(3, '\n');
-        let magic = lines.next().unwrap_or("");
-        if magic != CHECKPOINT_MAGIC {
-            // A well-formed magic with a different version suffix is a
-            // foreign-build checkpoint, not corruption.
-            if let Some(found) = magic
-                .strip_prefix(CHECKPOINT_MAGIC_PREFIX)
-                .and_then(|v| v.parse::<u32>().ok())
-            {
-                return Err(DistinctError::VersionMismatch {
-                    path: path.display().to_string(),
-                    found,
-                    expected: CHECKPOINT_FORMAT_VERSION,
-                });
-            }
-            return Err(corrupt(
-                path,
-                format!("bad magic `{magic}` (expected {CHECKPOINT_MAGIC})"),
-            ));
-        }
-        let declared = lines
-            .next()
-            .ok_or_else(|| corrupt(path, "missing checksum line"))?;
-        let json = lines
-            .next()
-            .ok_or_else(|| corrupt(path, "missing payload"))?;
-        let actual = format!("{:016x}", fnv1a64(json.as_bytes()));
-        if declared != actual {
-            return Err(corrupt(
-                path,
-                format!("checksum mismatch: header {declared}, payload {actual}"),
-            ));
-        }
-        let payload: CheckpointPayload = serde_json::from_str(json)
-            .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
-        if payload.format != CHECKPOINT_FORMAT_VERSION {
-            return Err(DistinctError::VersionMismatch {
-                path: path.display().to_string(),
-                found: payload.format,
-                expected: CHECKPOINT_FORMAT_VERSION,
-            });
-        }
+        let payload: CheckpointPayload =
+            CHECKPOINT_FRAME.decode(path, &bytes, |p: &CheckpointPayload| p.format)?;
         if payload.paths != self.paths().descriptions {
             return Err(corrupt(
                 path,
@@ -276,28 +226,13 @@ impl Distinct {
                 ),
             ));
         }
-        let n_paths = self.paths().len();
-        let mut restored: Vec<(TupleRef, Arc<Profile>)> =
-            Vec::with_capacity(payload.profiles.len());
-        for entry in &payload.profiles {
-            let profile = decode_profile(entry, n_paths).ok_or_else(|| {
-                corrupt(
-                    path,
-                    format!(
-                        "profile has {} per-path propagations, engine has {n_paths} paths",
-                        entry.props.len()
-                    ),
-                )
-            })?;
-            restored.push((profile.reference, Arc::new(profile)));
-        }
-        // All validation passed: install atomically (state-wise) — a
-        // failed load leaves the engine exactly as it was.
-        self.set_min_sim(payload.min_sim);
+        // The weights are the one install that can still fail; it
+        // changes nothing when it does, so a failed load leaves the
+        // engine exactly as it was.
         self.set_weights(payload.weights)
             .map_err(|_| corrupt(path, "weight dimensionality does not match path set"))?;
+        self.set_min_sim(payload.min_sim);
         self.install_learned(payload.learned);
-        self.install_profiles(restored);
         Ok(())
     }
 
@@ -340,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_round_trip_restores_weights_model_and_profiles() {
+    fn checkpoint_round_trip_restores_weights_and_model() {
         let d = dataset();
         let mut trained = engine(&d);
         trained.train().unwrap();
@@ -348,23 +283,23 @@ mod tests {
         let expected = trained
             .resolve(&crate::request::ResolveRequest::new(&refs))
             .clustering;
-        let cached = trained.cached_profiles();
-        assert!(cached > 0);
 
         let path = temp_file("rt");
         trained.save_checkpoint(&path).unwrap();
 
         let mut fresh = engine(&d);
-        assert_eq!(fresh.cached_profiles(), 0);
         fresh.load_checkpoint(&path).unwrap();
         assert_eq!(fresh.weights(), trained.weights());
         assert!(fresh.learned().is_some());
-        assert_eq!(fresh.cached_profiles(), cached);
-        // Resolution from the restored cache is bit-identical — and spends
-        // no budget on profiling (everything is cached).
-        let ctl = crate::control::RunControl::new();
-        let outcome = fresh.resolve(&crate::request::ResolveRequest::new(&refs).control(&ctl));
+        // Profiles are not persisted: the restored engine recomputes them
+        // and resolves bit-identically.
+        assert_eq!(fresh.cached_profiles(), 0);
+        let outcome = fresh.resolve(&crate::request::ResolveRequest::new(&refs));
         assert_eq!(outcome.clustering.labels, expected.labels);
+        assert_eq!(
+            outcome.clustering.dendrogram.merges(),
+            expected.dendrogram.merges()
+        );
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
@@ -390,6 +325,7 @@ mod tests {
         let path = temp_file("flip");
         e.save_checkpoint(&path).unwrap();
         let blob = std::fs::read(&path).unwrap();
+        let untrained = engine(&d).weights().clone();
         // Flip one bit at a spread of positions; every corruption must be
         // caught (magic, checksum line, or payload checksum mismatch).
         let step = (blob.len() / 40).max(1);
@@ -409,9 +345,9 @@ mod tests {
                 ),
                 "byte {pos}: expected a rejection, got {err}"
             );
-            // The failed load left the engine untrained and uncached.
+            // The failed load installed nothing.
             assert!(fresh.learned().is_none());
-            assert_eq!(fresh.cached_profiles(), 0);
+            assert_eq!(fresh.weights(), &untrained);
         }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
@@ -444,9 +380,8 @@ mod tests {
         e.save_checkpoint(&path).unwrap();
         let committed = std::fs::read(&path).unwrap();
 
-        // Warm more profiles so a second save differs, then kill its write.
-        let refs = e.references_of("Wei Wang");
-        let _ = e.resolve(&crate::request::ResolveRequest::new(&refs));
+        // Change the state so a second save differs, then kill its write.
+        e.set_min_sim(e.config().min_sim + 0.125);
         for plan in [
             FaultPlan::fail_nth_write(1),
             FaultPlan::torn_nth_write(1, 13),
@@ -479,22 +414,26 @@ mod tests {
         e.save_checkpoint(&path).unwrap();
         let blob = std::fs::read_to_string(&path).unwrap();
 
-        // A version-1 file (the pre-versioned-payload format): typed
-        // mismatch from the magic line, not a confusing bad-magic error.
-        let old = blob.replacen(CHECKPOINT_MAGIC, "DISTINCTCKPT1", 1);
-        std::fs::write(&path, &old).unwrap();
-        let mut fresh = engine(&d);
-        match fresh.load_checkpoint(&path).unwrap_err() {
-            DistinctError::VersionMismatch {
-                found, expected, ..
-            } => {
-                assert_eq!(found, 1);
-                assert_eq!(expected, CHECKPOINT_FORMAT_VERSION);
+        // Retired versions — 1 (the pre-versioned-payload format) and 2
+        // (which persisted the profile cache): typed mismatches from the
+        // magic line, not a confusing bad-magic error.
+        let untrained = engine(&d).weights().clone();
+        for old in [1u32, 2] {
+            let foreign = blob.replacen(CHECKPOINT_MAGIC, &format!("DISTINCTCKPT{old}"), 1);
+            std::fs::write(&path, &foreign).unwrap();
+            let mut fresh = engine(&d);
+            match fresh.load_checkpoint(&path).unwrap_err() {
+                DistinctError::VersionMismatch {
+                    found, expected, ..
+                } => {
+                    assert_eq!(found, old);
+                    assert_eq!(expected, CHECKPOINT_FORMAT_VERSION);
+                }
+                other => panic!("expected VersionMismatch, got {other}"),
             }
-            other => panic!("expected VersionMismatch, got {other}"),
+            assert!(fresh.learned().is_none());
+            assert_eq!(fresh.weights(), &untrained);
         }
-        assert!(fresh.learned().is_none());
-        assert_eq!(fresh.cached_profiles(), 0);
 
         // A re-framed payload smuggling a foreign `format` field past a
         // current magic line is caught by the payload check.

@@ -463,28 +463,6 @@ impl Distinct {
         }
     }
 
-    /// Snapshot of the profile cache (for checkpointing).
-    pub(crate) fn profile_cache_snapshot(&self) -> Vec<(TupleRef, Arc<Profile>)> {
-        self.profile_cache.snapshot()
-    }
-
-    /// Replace the profile cache wholesale (checkpoint restore).
-    pub(crate) fn install_profiles(&mut self, entries: Vec<(TupleRef, Arc<Profile>)>) {
-        self.profile_cache.replace(entries);
-    }
-
-    /// Insert one profile into the shared cache (run-manager chunk
-    /// restore; races resolve to the first entry, which is identical).
-    pub(crate) fn cache_insert(&self, r: TupleRef, p: Arc<Profile>) {
-        self.profile_cache.insert(r, p);
-    }
-
-    /// Drop every cached profile (run-manager memory-budget guard).
-    /// Always safe: profiles are pure caches of deterministic computation.
-    pub(crate) fn evict_profiles(&self) {
-        self.profile_cache.evict_all();
-    }
-
     /// Install a learned model without retraining (checkpoint restore).
     pub(crate) fn install_learned(&mut self, model: Option<LearnedModel>) {
         self.learned = model;

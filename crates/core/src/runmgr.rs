@@ -4,19 +4,22 @@
 //! a paper-scale run loses all of it. [`Distinct::resolve_durable`] runs
 //! the same three stages — profile fan-out, pairwise similarity matrix,
 //! agglomerative clustering — but commits an atomic, checksummed
-//! checkpoint into a **run directory** as each unit of work completes:
+//! checkpoint into a **run directory** after each of the last two:
 //!
 //! ```text
 //! <run_dir>/
 //!   run.json           run manifest: format version + request fingerprint
-//!   profiles-<k>.ck    profiles of refs[k..k+len], one file per chunk
 //!   similarity.ck      the full pairwise leaf tables (stage 2 output)
 //!   clustering.ck      labels + merge history (the final answer)
 //! ```
 //!
+//! Profiles are not persisted (see [`crate::checkpoint`] for why): a
+//! resume before `similarity.ck` simply profiles again, and warm
+//! references come straight from the engine's in-memory cache.
+//!
 //! Every file is written with [`relstore::write_atomic`] (temp + rename,
-//! the sanctioned persistence primitive of lint D105) and framed like the
-//! engine checkpoint: magic line with a format version, FNV-1a-64
+//! the sanctioned persistence primitive of lint D105) in the engine
+//! checkpoint's [`Frame`]: magic line with a format version, FNV-1a-64
 //! checksum, JSON payload. A killed run therefore leaves only complete,
 //! verifiable artifacts plus at most one `.tmp` orphan.
 //!
@@ -25,31 +28,25 @@
 //! references, threshold, constraints, weights, catalog), then completed
 //! stages are skipped — a committed `clustering.ck` returns immediately,
 //! a committed `similarity.ck` skips profiling entirely, and otherwise
-//! profiling restarts from the first chunk without a committed file.
-//! Because each stage's persisted output round-trips `f64`s exactly, a
-//! resumed run's partition is bit-identical to an uninterrupted one (the
-//! chaos sweep in `tests/resume_chaos.rs` proves this at every kill
-//! point).
+//! the run starts over from profiling. Because each stage's persisted
+//! output round-trips `f64`s exactly, a resumed run's partition is
+//! bit-identical to an uninterrupted one (the chaos sweep in
+//! `tests/resume_chaos.rs` proves this at every kill point).
 //!
-//! Three robustness seams ride along:
+//! Two robustness seams ride along:
 //!
 //! * **retry with backoff** — transient I/O failures are retried up to
 //!   [`RunOptions::max_retries`] times with exponential backoff and
 //!   deterministic, seeded jitter (the same splitmix64 recipe as the
 //!   fault injector, so schedules reproduce per seed);
 //! * **watchdog** — when [`RunOptions::stall_after`] is set, a
-//!   [`exec::Watchdog`] observes a heartbeat beaten at every chunk and
-//!   stage commit; silence trips the run with the typed
+//!   [`exec::Watchdog`] observes a heartbeat beaten at every stage
+//!   boundary; silence trips the run with the typed
 //!   [`InterruptKind::Stalled`], degrading it like any other limit
-//!   instead of hanging forever;
-//! * **memory budget** — when [`RunOptions::memory_budget_bytes`] is set
-//!   and resident memory exceeds it, the shared profile cache is evicted
-//!   (profiles are pure caches — always safe) and the chunk size shrinks,
-//!   trading commit frequency for peak footprint.
+//!   instead of hanging forever.
 
-use crate::checkpoint::{decode_profile, encode_profile, ProfileEntry};
+use crate::checkpoint::{corrupt, Frame};
 use crate::control::{InterruptKind, RunControl, Stage};
-use crate::features::{empty_profile, Profile};
 use crate::pipeline::{stage_stats, Degraded, Distinct, DistinctError, ResolveOutcome};
 use crate::refcluster::DistinctMerger;
 use crate::request::{ExecReport, ResolveRequest};
@@ -59,34 +56,29 @@ use relstore::{fnv1a64, write_atomic, StdVfs, Vfs};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Run-directory format version. Bumped whenever any persisted layout or
 /// payload schema changes shape; resuming a directory written by any
 /// other version fails with [`DistinctError::VersionMismatch`].
-pub const RUN_FORMAT_VERSION: u32 = 1;
+pub const RUN_FORMAT_VERSION: u32 = 2;
 
-/// Magic prefix of every run-directory file's header line; the numeric
-/// suffix is the format version.
-const RUN_MAGIC_PREFIX: &str = "DISTINCTRUN";
-
-/// Magic header line (prefix + format version).
-const RUN_MAGIC: &str = "DISTINCTRUN1";
+/// The frame of every run-directory file (`DISTINCTRUN<version>`).
+const RUN_FRAME: Frame = Frame {
+    prefix: "DISTINCTRUN",
+    version: RUN_FORMAT_VERSION,
+};
 
 const MANIFEST_FILE: &str = "run.json";
 const SIMILARITY_FILE: &str = "similarity.ck";
 const CLUSTERING_FILE: &str = "clustering.ck";
 const STREAM_MANIFEST_FILE: &str = "stream.json";
 
-/// Tuning knobs of a durable run. The defaults suit test- to mid-scale
-/// runs; the benchmark ladder overrides `chunk_size` per rung.
+/// Tuning knobs of a durable run or update stream.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// References profiled (and committed) per chunk checkpoint.
+    /// Updates applied (and committed) per update-stream chunk.
     pub chunk_size: usize,
-    /// Floor the memory guard never shrinks the chunk size below.
-    pub min_chunk_size: usize,
     /// Transient I/O retries per operation (0 = fail fast, which the
     /// chaos kill sweeps use to make every injected fault fatal).
     pub max_retries: u32,
@@ -99,22 +91,17 @@ pub struct RunOptions {
     pub stall_after: Option<Duration>,
     /// Watchdog poll cadence (stall detection slack is one poll).
     pub watchdog_poll: Duration,
-    /// Evict the profile cache and shrink chunks when resident memory
-    /// exceeds this; `None` disables the guard.
-    pub memory_budget_bytes: Option<u64>,
 }
 
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             chunk_size: 256,
-            min_chunk_size: 16,
             max_retries: 3,
             backoff_base: Duration::from_millis(2),
             retry_seed: 2007,
             stall_after: None,
             watchdog_poll: Duration::from_millis(25),
-            memory_budget_bytes: None,
         }
     }
 }
@@ -124,18 +111,16 @@ impl Default for RunOptions {
 /// machinery had to work.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
-    /// References whose profiles were restored from chunk checkpoints.
+    /// References whose profiles were restored from disk. Always 0 from
+    /// run format 2 onward, which recomputes profiles instead of
+    /// persisting them.
     pub profiles_restored: usize,
-    /// Profile chunk checkpoints committed by this run.
-    pub chunks_committed: usize,
     /// Stage 2 was restored from `similarity.ck` (profiling skipped).
     pub similarity_restored: bool,
     /// The final `clustering.ck` was restored (nothing recomputed).
     pub clustering_restored: bool,
     /// Transient I/O retries performed across the whole run.
     pub io_retries: u64,
-    /// Times the memory guard evicted the profile cache.
-    pub memory_evictions: u32,
     /// The watchdog fired (the outcome will be degraded as `Stalled`).
     pub stalled: bool,
 }
@@ -158,17 +143,6 @@ struct RunManifest {
     /// constraints, weights, measure/composite, catalog size, paths.
     fingerprint: String,
     refs: usize,
-    chunk: usize,
-}
-
-/// Profiles of `refs[start..start + entries.len()]`, one file per chunk.
-/// Keyed by range start, so resuming walks the chain of committed chunks
-/// from zero regardless of the chunk size they were written with.
-#[derive(Debug, Serialize, Deserialize)]
-struct ProfileChunk {
-    format: u32,
-    start: usize,
-    entries: Vec<ProfileEntry>,
 }
 
 /// Stage 2 output: the full pairwise leaf tables. JSON round-trips `f64`
@@ -241,79 +215,6 @@ pub struct UpdateStreamOutcome {
     pub io_retries: u64,
 }
 
-fn corrupt(path: &Path, reason: impl Into<String>) -> DistinctError {
-    DistinctError::CorruptCheckpoint {
-        path: path.display().to_string(),
-        reason: reason.into(),
-    }
-}
-
-/// Frame a JSON payload exactly like the engine checkpoint: magic line,
-/// checksum line, payload.
-fn frame(json: &str) -> String {
-    format!("{RUN_MAGIC}\n{:016x}\n{json}", fnv1a64(json.as_bytes()))
-}
-
-/// Verify and strip the frame. A well-formed magic with a different
-/// version suffix is a foreign-build artifact ([`DistinctError::VersionMismatch`]);
-/// anything else that fails is corruption.
-fn unframe<'a>(path: &Path, bytes: &'a [u8]) -> Result<&'a str, DistinctError> {
-    let text =
-        std::str::from_utf8(bytes).map_err(|_| corrupt(path, "run file is not valid UTF-8"))?;
-    let mut lines = text.splitn(3, '\n');
-    let magic = lines.next().unwrap_or("");
-    if magic != RUN_MAGIC {
-        if let Some(found) = magic
-            .strip_prefix(RUN_MAGIC_PREFIX)
-            .and_then(|v| v.parse::<u32>().ok())
-        {
-            return Err(DistinctError::VersionMismatch {
-                path: path.display().to_string(),
-                found,
-                expected: RUN_FORMAT_VERSION,
-            });
-        }
-        return Err(corrupt(
-            path,
-            format!("bad magic `{magic}` (expected {RUN_MAGIC})"),
-        ));
-    }
-    let declared = lines
-        .next()
-        .ok_or_else(|| corrupt(path, "missing checksum line"))?;
-    let json = lines
-        .next()
-        .ok_or_else(|| corrupt(path, "missing payload"))?;
-    let actual = format!("{:016x}", fnv1a64(json.as_bytes()));
-    if declared != actual {
-        return Err(corrupt(
-            path,
-            format!("checksum mismatch: header {declared}, payload {actual}"),
-        ));
-    }
-    Ok(json)
-}
-
-/// Parse an unframed payload, mapping parse failures to corruption and a
-/// foreign `format` field to the typed version mismatch.
-fn parse_payload<T: Deserialize>(
-    path: &Path,
-    json: &str,
-    format_of: impl Fn(&T) -> u32,
-) -> Result<T, DistinctError> {
-    let value: T = serde_json::from_str(json)
-        .map_err(|e| corrupt(path, format!("unparseable payload: {e}")))?;
-    let found = format_of(&value);
-    if found != RUN_FORMAT_VERSION {
-        return Err(DistinctError::VersionMismatch {
-            path: path.display().to_string(),
-            found,
-            expected: RUN_FORMAT_VERSION,
-        });
-    }
-    Ok(value)
-}
-
 /// Retry-with-backoff state shared across every I/O operation of a run.
 /// Jitter is a deterministic splitmix64 stream over (seed, attempt
 /// index) — the same finalizer the fault injector uses — so a given seed
@@ -378,19 +279,24 @@ impl Retry {
     }
 }
 
-/// Read a run file, treating "not there yet" as a normal resume state.
-fn read_optional(
+/// Read and decode a run file, treating "not there yet" as a normal
+/// resume state.
+fn read_framed<T: Deserialize>(
     vfs: &mut dyn Vfs,
     path: &Path,
     retry: &mut Retry,
-) -> Result<Option<Vec<u8>>, DistinctError> {
-    retry.run(&format!("read {}", path.display()), || {
+    format_of: impl Fn(&T) -> u32,
+) -> Result<Option<T>, DistinctError> {
+    let bytes = retry.run(&format!("read {}", path.display()), || {
         match vfs.read(path) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
-    })
+    })?;
+    bytes
+        .map(|bytes| RUN_FRAME.decode(path, &bytes, format_of))
+        .transpose()
 }
 
 /// Serialize, frame, and atomically commit one run file.
@@ -401,13 +307,7 @@ fn write_framed<T: Serialize>(
     value: &T,
     retry: &mut Retry,
 ) -> Result<(), DistinctError> {
-    let json = serde_json::to_string(value).map_err(|e| {
-        DistinctError::Store(relstore::StoreError::Io {
-            context: format!("serialize {name}"),
-            reason: e.to_string(),
-        })
-    })?;
-    let blob = frame(&json);
+    let blob = RUN_FRAME.encode(name, value)?;
     retry.run(&format!("write {name}"), || {
         write_atomic(vfs, dir, name, blob.as_bytes())
     })
@@ -456,7 +356,7 @@ impl Distinct {
     /// Durable [`Distinct::resolve`]: same stages, same answer, but every
     /// completed unit of work is committed into the request's run
     /// directory ([`ResolveRequest::resume`]), so a crashed or degraded
-    /// run restarts from its last committed chunk instead of from zero.
+    /// run restarts from its last committed stage instead of from zero.
     /// Uses the real filesystem and default [`RunOptions`].
     pub fn resolve_durable(
         &self,
@@ -494,11 +394,8 @@ impl Distinct {
         // and must not be mixed into this one.
         let fingerprint = self.run_fingerprint(req, min_sim);
         let manifest_path = run_dir.join(MANIFEST_FILE);
-        match read_optional(vfs, &manifest_path, &mut retry)? {
-            Some(bytes) => {
-                let json = unframe(&manifest_path, &bytes)?;
-                let manifest: RunManifest =
-                    parse_payload(&manifest_path, json, |m: &RunManifest| m.format)?;
+        match read_framed(vfs, &manifest_path, &mut retry, |m: &RunManifest| m.format)? {
+            Some(manifest) => {
                 if manifest.fingerprint != fingerprint || manifest.refs != n {
                     return Err(corrupt(
                         &manifest_path,
@@ -511,7 +408,6 @@ impl Distinct {
                     format: RUN_FORMAT_VERSION,
                     fingerprint: fingerprint.clone(),
                     refs: n,
-                    chunk: opts.chunk_size.max(1),
                 };
                 write_framed(vfs, run_dir, MANIFEST_FILE, &manifest, &mut retry)?;
             }
@@ -520,10 +416,9 @@ impl Distinct {
         // Fast path: the run already finished — return its committed
         // answer without touching a single profile.
         let clustering_path = run_dir.join(CLUSTERING_FILE);
-        if let Some(bytes) = read_optional(vfs, &clustering_path, &mut retry)? {
-            let json = unframe(&clustering_path, &bytes)?;
-            let ck: ClusteringCk =
-                parse_payload(&clustering_path, json, |c: &ClusteringCk| c.format)?;
+        if let Some(ck) = read_framed(vfs, &clustering_path, &mut retry, |c: &ClusteringCk| {
+            c.format
+        })? {
             if ck.labels.len() != n {
                 return Err(corrupt(
                     &clustering_path,
@@ -555,10 +450,10 @@ impl Distinct {
             });
         }
 
-        // From here real work can run long: arm the watchdog. Every chunk
-        // or stage commit beats the heartbeat; silence trips the control
-        // with the typed Stalled cause, which the stages observe through
-        // their ordinary guards.
+        // From here real work can run long: arm the watchdog. Every stage
+        // boundary beats the heartbeat; silence trips the control with
+        // the typed Stalled cause, which the stages observe through their
+        // ordinary guards.
         let heartbeat = exec::Heartbeat::new();
         let watchdog = opts.stall_after.map(|stall| {
             let handle = ctl.trip_handle();
@@ -581,12 +476,11 @@ impl Distinct {
         // A similarity stage restored from its checkpoint never ran the
         // kernel engine here, so its counters stay zero.
         let mut pair_counters = crate::refcluster::PairCounters::default();
-        let merger: Option<DistinctMerger> = match read_optional(vfs, &similarity_path, &mut retry)?
-        {
-            Some(bytes) => {
-                let json = unframe(&similarity_path, &bytes)?;
-                let ck: SimilarityCk =
-                    parse_payload(&similarity_path, json, |c: &SimilarityCk| c.format)?;
+        let restored = read_framed(vfs, &similarity_path, &mut retry, |c: &SimilarityCk| {
+            c.format
+        })?;
+        let merger: Option<DistinctMerger> = match restored {
+            Some(ck) => {
                 if ck.n != n {
                     return Err(corrupt(
                         &similarity_path,
@@ -601,128 +495,45 @@ impl Distinct {
                 )
                 .ok_or_else(|| corrupt(&similarity_path, "similarity tables are not square"))?;
                 report.similarity_restored = true;
-                heartbeat.beat();
                 Some(restored)
             }
             None => {
-                // Stage 1: profiles, chunk by chunk. Committed chunks
-                // are restored; missing ones are computed and
-                // committed before moving on, so a kill at any point
-                // loses at most one chunk of work.
-                let n_paths = self.paths().len();
-                let mut profiles: Vec<Arc<Profile>> = Vec::with_capacity(n);
-                let mut chunk = opts.chunk_size.max(1);
+                // Stage 1: profiles. A degraded run still resolves every
+                // reference: whatever a limit cut off stays a zero-mass
+                // placeholder (and therefore a singleton), like resolve().
                 let logical0 = ctl.spent();
-                // Hoisted label buffer, rewritten per chunk instead of
-                // reallocated (lint D110).
-                use std::fmt::Write as _;
-                let mut name = String::new();
-                while profiles.len() < n {
-                    let pos = profiles.len();
-                    if let Some(budget) = opts.memory_budget_bytes {
-                        let over = crate::control::current_rss_bytes()
-                            .map(|rss| rss > budget)
-                            .unwrap_or(false);
-                        if over {
-                            self.evict_profiles();
-                            chunk = (chunk / 2).max(opts.min_chunk_size.max(1)).min(chunk);
-                            report.memory_evictions += 1;
-                        }
-                    }
-                    name.clear();
-                    let _ = write!(name, "profiles-{pos}.ck");
-                    let chunk_path = run_dir.join(&name);
-                    if let Some(bytes) = read_optional(vfs, &chunk_path, &mut retry)? {
-                        let json = unframe(&chunk_path, &bytes)?;
-                        let ck: ProfileChunk =
-                            parse_payload(&chunk_path, json, |c: &ProfileChunk| c.format)?;
-                        if ck.start != pos || ck.entries.is_empty() || pos + ck.entries.len() > n {
-                            return Err(corrupt(
-                                &chunk_path,
-                                format!(
-                                    "chunk claims refs {}..{} of {n}, expected to start at {pos}",
-                                    ck.start,
-                                    ck.start + ck.entries.len()
-                                ),
-                            ));
-                        }
-                        for (i, entry) in ck.entries.iter().enumerate() {
-                            let profile = decode_profile(entry, n_paths).ok_or_else(|| {
-                                corrupt(&chunk_path, "profile does not match the engine's path set")
-                            })?;
-                            if profile.reference != refs[pos + i] {
-                                return Err(corrupt(
-                                    &chunk_path,
-                                    format!("profile {i} is for a different reference"),
-                                ));
-                            }
-                            let profile = Arc::new(profile);
-                            self.cache_insert(refs[pos + i], Arc::clone(&profile));
-                            profiles.push(profile);
-                        }
-                        report.profiles_restored += ck.entries.len();
-                        heartbeat.beat();
-                        continue;
-                    }
-                    // Compute and commit this chunk.
-                    let end = (pos + chunk).min(n);
-                    let (chunk_profiles, stats) =
-                        self.profile_fanout(&refs[pos..end], &executor, ctl);
-                    profile_stats = profile_stats.merge(stats);
-                    let real = chunk_profiles.iter().filter(|p| !p.placeholder).count();
-                    if real < end - pos {
-                        // A limit tripped mid-chunk: commit nothing
-                        // from it (a committed chunk must be fully
-                        // real), keep what we have, degrade.
-                        let kind = ctl.status().unwrap_or(InterruptKind::Cancelled);
-                        trip = Some((Stage::Profiles, kind));
-                        profiles.extend(chunk_profiles);
-                        break;
-                    }
-                    // distinct-lint: allow(D110, reason="entries are moved into the committed chunk frame below; the buffer is exact-sized by the iterator and cannot be reused across commits")
-                    let entries = chunk_profiles.iter().map(|p| encode_profile(p)).collect();
-                    let ck = ProfileChunk {
-                        format: RUN_FORMAT_VERSION,
-                        start: pos,
-                        entries,
-                    };
-                    write_framed(vfs, run_dir, &name, &ck, &mut retry)?;
-                    report.chunks_committed += 1;
-                    profiles.extend(chunk_profiles);
-                    heartbeat.beat();
-                }
-                // A degraded run still resolves every reference:
-                // whatever was cut off stays a zero-mass placeholder
-                // (and therefore a singleton), exactly like resolve().
-                for &r in &refs[profiles.len()..] {
-                    profiles.push(Arc::new(empty_profile(self.paths(), r)));
-                }
+                let (profiles, stats) = self.profile_fanout(refs, &executor, ctl);
+                profile_stats = stats;
                 profile_logical = ctl.spent().saturating_sub(logical0);
                 profiles_computed = profiles.iter().filter(|p| !p.placeholder).count();
+                if profiles_computed < n {
+                    let kind = ctl.status().unwrap_or(InterruptKind::Cancelled);
+                    trip = Some((Stage::Profiles, kind));
+                }
+                heartbeat.beat();
 
-                // Stage 2: the pairwise similarity matrix.
+                // Stage 2: the pairwise similarity matrix, committed only
+                // when every profile behind it is real.
                 let logical1 = ctl.spent();
                 let (built, stats, counters) =
                     self.similarity_stage(&profiles, &req.resemblance, &executor, &guard);
                 matrix_stats = stats;
                 pair_counters = counters;
                 similarity_logical = ctl.spent().saturating_sub(logical1);
-                if let Some(inner) = &built {
-                    if trip.is_none() {
-                        let (resem, dwalk) = inner.to_tables();
-                        let ck = SimilarityCk {
-                            format: RUN_FORMAT_VERSION,
-                            n,
-                            resem: resem.to_vec(),
-                            dwalk: dwalk.to_vec(),
-                        };
-                        write_framed(vfs, run_dir, SIMILARITY_FILE, &ck, &mut retry)?;
-                        heartbeat.beat();
-                    }
+                if let Some(inner) = built.as_ref().filter(|_| trip.is_none()) {
+                    let (resem, dwalk) = inner.to_tables();
+                    let ck = SimilarityCk {
+                        format: RUN_FORMAT_VERSION,
+                        n,
+                        resem: resem.to_vec(),
+                        dwalk: dwalk.to_vec(),
+                    };
+                    write_framed(vfs, run_dir, SIMILARITY_FILE, &ck, &mut retry)?;
                 }
                 built
             }
         };
+        heartbeat.beat();
 
         // Stage 3: agglomerative clustering, committed only when fully
         // complete — a partial merge sequence is recomputable for free
@@ -886,11 +697,10 @@ impl Distinct {
         // chunk chain regardless of the options it was resumed with.
         let fingerprint = self.stream_fingerprint(updates)?;
         let manifest_path = run_dir.join(STREAM_MANIFEST_FILE);
-        let chunk = match read_optional(vfs, &manifest_path, &mut retry)? {
-            Some(bytes) => {
-                let json = unframe(&manifest_path, &bytes)?;
-                let manifest: StreamManifest =
-                    parse_payload(&manifest_path, json, |m: &StreamManifest| m.format)?;
+        let chunk = match read_framed(vfs, &manifest_path, &mut retry, |m: &StreamManifest| {
+            m.format
+        })? {
+            Some(manifest) => {
                 if manifest.fingerprint != fingerprint || manifest.updates != updates.len() {
                     return Err(corrupt(
                         &manifest_path,
@@ -921,9 +731,7 @@ impl Distinct {
             let end = (start + chunk).min(updates.len());
             let name = format!("updates-{start}.ck");
             let path = run_dir.join(&name);
-            if let Some(bytes) = read_optional(vfs, &path, &mut retry)? {
-                let json = unframe(&path, &bytes)?;
-                let ck: UpdateChunkCk = parse_payload(&path, json, |c: &UpdateChunkCk| c.format)?;
+            if let Some(ck) = read_framed(vfs, &path, &mut retry, |c: &UpdateChunkCk| c.format)? {
                 if ck.start != start || ck.len != end - start {
                     return Err(corrupt(
                         &path,
@@ -1030,7 +838,6 @@ mod tests {
 
     fn fast_opts() -> RunOptions {
         RunOptions {
-            chunk_size: 8,
             backoff_base: Duration::from_micros(100),
             ..Default::default()
         }
@@ -1039,6 +846,16 @@ mod tests {
     fn assert_same(a: &Clustering, b: &Clustering) {
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.dendrogram.merges(), b.dendrogram.merges());
+    }
+
+    /// The committed files of a run directory, sorted.
+    fn committed(dir: &Path) -> Vec<String> {
+        let mut files: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        files
     }
 
     #[test]
@@ -1056,18 +873,11 @@ mod tests {
             .unwrap();
         assert!(first.outcome.is_complete());
         assert_same(&first.outcome.clustering, &plain);
-        assert_eq!(first.run.chunks_committed, 3, "23 refs / chunks of 8");
         assert!(!first.run.similarity_restored);
-        for f in [
-            "run.json",
-            "profiles-0.ck",
-            "profiles-8.ck",
-            "profiles-16.ck",
-            "similarity.ck",
-            "clustering.ck",
-        ] {
-            assert!(dir.path().join(f).exists(), "missing {f}");
-        }
+        assert_eq!(
+            committed(dir.path()),
+            ["clustering.ck", "run.json", "similarity.ck"]
+        );
 
         // Resume level 0: the committed answer comes straight back.
         let again = e
@@ -1083,21 +893,20 @@ mod tests {
             .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
             .unwrap();
         assert!(from_tables.run.similarity_restored);
-        assert_eq!(from_tables.run.profiles_restored, 0);
+        assert_eq!(from_tables.outcome.exec.profiles.tasks, 0);
         assert_same(&from_tables.outcome.clustering, &plain);
         assert!(dir.path().join("clustering.ck").exists(), "recommitted");
 
-        // Resume level 2: profiles restore from chunks, stages 2 and 3
-        // recompute — still bit-identical.
+        // Resume level 2: only the manifest is left, so every stage
+        // recomputes — still bit-identical, and nothing is restored.
         std::fs::remove_file(dir.path().join("clustering.ck")).unwrap();
         std::fs::remove_file(dir.path().join("similarity.ck")).unwrap();
-        let from_chunks = e
+        let from_manifest = e
             .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
             .unwrap();
-        assert!(!from_chunks.run.similarity_restored);
-        assert_eq!(from_chunks.run.profiles_restored, refs.len());
-        assert_eq!(from_chunks.run.chunks_committed, 0);
-        assert_same(&from_chunks.outcome.clustering, &plain);
+        assert!(!from_manifest.run.similarity_restored);
+        assert_eq!(from_manifest.run.profiles_restored, 0);
+        assert_same(&from_manifest.outcome.clustering, &plain);
     }
 
     #[test]
@@ -1109,8 +918,8 @@ mod tests {
 
         let dir = TempDir::new("kill");
         let req = ResolveRequest::new(&refs).resume(dir.path());
-        // Kill the run at its third write, with retries disabled so the
-        // injected fault is fatal.
+        // Kill the run at its third write (the clustering checkpoint),
+        // with retries disabled so the injected fault is fatal.
         let mut vfs = FaultyVfs::new(FaultPlan::fail_nth_write(3));
         let opts = RunOptions {
             max_retries: 0,
@@ -1128,7 +937,7 @@ mod tests {
             .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
             .unwrap();
         assert!(resumed.outcome.is_complete());
-        assert!(resumed.run.profiles_restored > 0, "committed chunk reused");
+        assert!(resumed.run.similarity_restored, "committed tables reused");
         assert_same(&resumed.outcome.clustering, &expected);
     }
 
@@ -1151,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_run_commits_its_progress_and_an_unlimited_resume_completes() {
+    fn degraded_run_commits_only_its_manifest_and_an_unlimited_resume_completes() {
         let d = dataset();
         let refs = {
             let e = engine(&d);
@@ -1159,10 +968,9 @@ mod tests {
         };
         let expected = engine(&d).resolve(&ResolveRequest::new(&refs)).clustering;
 
-        // Measure the full profiling cost in logical units, then budget
-        // half of it: the limit is guaranteed to trip mid-profiling while
-        // leaving room for the first chunks to commit.
-        let profile_cost = {
+        // Measure the full resolution cost in logical units, then budget
+        // a third of it: the limit trips while profiling.
+        let full_cost = {
             let probe = engine(&d);
             let ctl = RunControl::new();
             let _ = probe.resolve(&ResolveRequest::new(&refs).control(&ctl));
@@ -1170,38 +978,29 @@ mod tests {
         };
 
         let dir = TempDir::new("degraded");
-        // A fresh engine under a small budget: some chunks complete and
-        // commit, then the limit trips and the run degrades (gracefully,
-        // like resolve()).
+        // A fresh engine under the small budget degrades gracefully, like
+        // resolve(), and commits nothing after the manifest: similarity
+        // tables over placeholder profiles must never reach disk.
         let e = engine(&d);
-        let ctl = RunControl::new().with_budget(profile_cost / 3);
+        let ctl = RunControl::new().with_budget(full_cost / 3);
         let req = ResolveRequest::new(&refs).control(&ctl).resume(dir.path());
-        let opts = RunOptions {
-            chunk_size: 4,
-            ..fast_opts()
-        };
-        let limited = e.resolve_durable_with(&req, &mut StdVfs, &opts).unwrap();
+        let limited = e
+            .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
+            .unwrap();
         let deg = limited.outcome.degraded.expect("small budget must degrade");
         assert_eq!(deg.kind, InterruptKind::BudgetExhausted);
         assert_eq!(deg.stage, Stage::Profiles, "{deg:?}");
-        assert!(
-            limited.run.chunks_committed >= 1,
-            "budget must allow at least one committed chunk: {:?}",
-            limited.run
-        );
+        assert_eq!(committed(dir.path()), ["run.json"]);
 
-        // An unlimited resume on a cold engine finishes from the
-        // committed chunks and matches the uninterrupted answer.
+        // An unlimited resume on a cold engine recomputes everything and
+        // matches the uninterrupted answer bit for bit.
         let cold = engine(&d);
         let resume_req = ResolveRequest::new(&refs).resume(dir.path());
         let resumed = cold
-            .resolve_durable_with(&resume_req, &mut StdVfs, &opts)
+            .resolve_durable_with(&resume_req, &mut StdVfs, &fast_opts())
             .unwrap();
         assert!(resumed.outcome.is_complete());
-        assert_eq!(
-            resumed.run.profiles_restored,
-            limited.run.chunks_committed * 4
-        );
+        assert!(!resumed.run.similarity_restored);
         assert_same(&resumed.outcome.clustering, &expected);
     }
 
@@ -1238,47 +1037,26 @@ mod tests {
         e.resolve_durable_with(&req, &mut StdVfs, &fast_opts())
             .unwrap();
 
+        // A retired version (1 persisted profile chunks) or a future one:
+        // both are typed mismatches, never corruption.
         let manifest = dir.path().join("run.json");
         let blob = std::fs::read_to_string(&manifest).unwrap();
-        std::fs::write(&manifest, blob.replacen(RUN_MAGIC, "DISTINCTRUN9", 1)).unwrap();
-        match e
-            .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
-            .unwrap_err()
-        {
-            DistinctError::VersionMismatch {
-                found, expected, ..
-            } => {
-                assert_eq!(found, 9);
-                assert_eq!(expected, RUN_FORMAT_VERSION);
+        for foreign in [1u32, 9] {
+            let magic = format!("DISTINCTRUN{foreign}");
+            std::fs::write(&manifest, blob.replacen("DISTINCTRUN2", &magic, 1)).unwrap();
+            match e
+                .resolve_durable_with(&req, &mut StdVfs, &fast_opts())
+                .unwrap_err()
+            {
+                DistinctError::VersionMismatch {
+                    found, expected, ..
+                } => {
+                    assert_eq!(found, foreign);
+                    assert_eq!(expected, RUN_FORMAT_VERSION);
+                }
+                other => panic!("expected VersionMismatch, got {other}"),
             }
-            other => panic!("expected VersionMismatch, got {other}"),
         }
-    }
-
-    #[test]
-    fn memory_budget_guard_evicts_and_shrinks_without_changing_the_answer() {
-        let d = dataset();
-        let e = engine(&d);
-        let refs = e.references_of("Wei Wang");
-        let plain = e.resolve(&ResolveRequest::new(&refs)).clustering;
-
-        let dir = TempDir::new("memory");
-        // One byte of budget: every chunk boundary sees an over-budget
-        // process, evicts, and shrinks down to the floor.
-        let opts = RunOptions {
-            chunk_size: 8,
-            min_chunk_size: 2,
-            memory_budget_bytes: Some(1),
-            ..fast_opts()
-        };
-        let cold = engine(&d);
-        let req = ResolveRequest::new(&refs).resume(dir.path());
-        let out = cold.resolve_durable_with(&req, &mut StdVfs, &opts).unwrap();
-        assert!(out.outcome.is_complete());
-        assert!(out.run.memory_evictions > 0, "guard must have fired");
-        // Shrunk chunks mean more, smaller commits than 23/8 would give.
-        assert!(out.run.chunks_committed > 3, "{:?}", out.run);
-        assert_same(&out.outcome.clustering, &plain);
     }
 
     #[test]

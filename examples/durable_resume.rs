@@ -29,36 +29,33 @@ fn main() {
     let k = cold.clustering.labels.iter().copied().max().unwrap_or(0) + 1;
     println!("plain resolve: {} references -> {} people", refs.len(), k);
 
-    // A durable run writes staged checkpoints into a run directory.
+    // A durable run writes three files into its run directory: the
+    // manifest, the similarity tables and the final clustering.
     let run_dir = std::env::temp_dir().join(format!("durable_resume_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&run_dir);
     let req = ResolveRequest::new(&refs).resume(&run_dir);
-    let opts = RunOptions {
-        chunk_size: 8, // 23 refs -> 3 profile chunks
-        ..Default::default()
-    };
 
-    // Crash it: the third write (a profile chunk) tears mid-write and the
-    // retry budget is exhausted, as if the process had been killed.
+    // Crash it: the second write (the similarity tables) tears mid-write
+    // and the retry budget is exhausted, as if the process had been killed.
     let fatal = RunOptions {
         max_retries: 0,
-        ..opts.clone()
+        ..Default::default()
     };
-    let mut vfs = FaultyVfs::new(FaultPlan::new(42).with_fault(3, FaultKind::Torn));
+    let mut vfs = FaultyVfs::new(FaultPlan::new(42).with_fault(2, FaultKind::Torn));
     let err = engine
         .resolve_durable_with(&req, &mut vfs, &fatal)
         .expect_err("the torn write must surface");
-    println!("injected crash at write #3: {err}");
+    println!("injected crash at write #2: {err}");
 
-    // Resume on a cold engine: committed chunks are restored, the torn
-    // file was never renamed over a checkpoint, and the answer matches.
+    // Resume: the torn file was never renamed over a checkpoint, so the
+    // run recomputes profiles and similarity (cheaper than storing them)
+    // and lands on the same answer.
     let resumed = engine
-        .resolve_durable_with(&req, &mut StdVfs, &opts)
+        .resolve_durable_with(&req, &mut StdVfs, &RunOptions::default())
         .expect("resume");
     println!(
-        "resumed: {} profiles restored, {} chunks committed, complete = {}",
-        resumed.run.profiles_restored,
-        resumed.run.chunks_committed,
+        "resumed: similarity restored = {}, complete = {}",
+        resumed.run.similarity_restored,
         resumed.outcome.is_complete()
     );
     assert_eq!(

@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 4. "Fresh process": reload catalog + checkpoint, resolve again. ---
     let catalog = persist::load_catalog(&store)?;
     let mut resumed = Distinct::prepare(&catalog, "Publish", "author", distinct_config)?;
-    resumed.load_checkpoint(&ckpt)?; // weights + model + profile cache
+    resumed.load_checkpoint(&ckpt)?; // weights + model; profiles are recomputed
     let wei = resumed.references_of("Wei Wang");
     let after = resumed
         .resolve(&distinct::ResolveRequest::new(&wei))

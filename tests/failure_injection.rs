@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use datagen::{to_catalog, AmbiguousSpec, DblpDataset, World, WorldConfig};
 use distinct::{
-    Distinct, DistinctConfig, DistinctError, InterruptKind, ResolveRequest, RunControl,
-    TrainRequest, TrainingConfig,
+    Distinct, DistinctConfig, DistinctError, InterruptKind, PathWeights, ResolveRequest,
+    RunControl, TrainRequest, TrainingConfig,
 };
 use proptest::prelude::*;
 use relstore::{
@@ -227,13 +227,18 @@ fn prepared_engine(d: &DblpDataset) -> Distinct {
 #[test]
 fn checkpoint_kill_mid_write_restores_pre_save_state_or_reports_corruption() {
     let d = wei_wang_dataset();
-    let engine = prepared_engine(&d);
-    let refs = engine.references_of("Wei Wang");
-    let _ = engine.resolve(&ResolveRequest::new(&refs)); // warm the profile cache
+    let mut engine = prepared_engine(&d);
+    let untouched = engine.weights().clone();
     let dir = TempDir::new("ckpt");
     let path = dir.join("engine.ckpt");
     engine.save_checkpoint(&path).unwrap();
     let committed = std::fs::read(&path).unwrap();
+
+    // New weights, so an interrupted save would change the file.
+    let n = untouched.path_count();
+    let mut skewed = PathWeights::uniform(n);
+    skewed.resem[0] += 1.0;
+    engine.set_weights(skewed).unwrap();
 
     for plan in [
         FaultPlan::fail_nth_write(1),
@@ -249,7 +254,7 @@ fn checkpoint_kill_mid_write_restores_pre_save_state_or_reports_corruption() {
         );
         let mut fresh = prepared_engine(&d);
         fresh.load_checkpoint(&path).unwrap();
-        assert_eq!(fresh.cached_profiles(), engine.cached_profiles());
+        assert_eq!(fresh.weights(), &untouched);
     }
 
     // Silent bit flip: save succeeds, load must refuse.
@@ -261,7 +266,7 @@ fn checkpoint_kill_mid_write_restores_pre_save_state_or_reports_corruption() {
         other => panic!("expected CorruptCheckpoint, got {other:?}"),
     }
     // Nothing partial was installed.
-    assert_eq!(fresh.cached_profiles(), 0);
+    assert_eq!(fresh.weights(), &untouched);
     assert!(fresh.learned().is_none());
 }
 
