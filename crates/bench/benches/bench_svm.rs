@@ -1,11 +1,11 @@
-//! Criterion bench: the from-scratch SVM solvers (SMO dual vs Pegasos
-//! primal) at the training-set sizes DISTINCT uses.
+//! Criterion bench: linear SMO training at the training-set sizes
+//! DISTINCT uses, and `LinearModel` prediction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use svm::{train_pegasos, train_smo, Dataset, Kernel, PegasosConfig, SmoConfig};
+use svm::{train_smo, Dataset, SmoConfig};
 
 fn blobs(n_per: usize, dim: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -29,26 +29,17 @@ fn bench_svm(c: &mut Criterion) {
             &data,
             |b, data| {
                 b.iter(|| {
-                    let m = train_smo(data, Kernel::Linear, &SmoConfig::default()).unwrap();
+                    let m = train_smo(data, &SmoConfig::default()).unwrap();
                     black_box(m.sv_count())
                 })
             },
         );
-        group.bench_with_input(BenchmarkId::new("pegasos", n_per * 2), &data, |b, data| {
-            b.iter(|| {
-                let m = train_pegasos(data, &PegasosConfig::default()).unwrap();
-                black_box(m.bias)
-            })
-        });
     }
     group.finish();
 
     // Prediction throughput.
     let data = blobs(500, 19, 9);
-    let model = train_smo(&data, Kernel::Linear, &SmoConfig::default())
-        .unwrap()
-        .to_linear()
-        .unwrap();
+    let model = train_smo(&data, &SmoConfig::default()).unwrap().to_linear();
     c.bench_function("linear_predict_1000", |b| {
         b.iter(|| {
             let mut acc = 0.0;

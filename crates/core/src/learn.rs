@@ -9,7 +9,7 @@
 //! calibrated against.
 
 use serde::{Deserialize, Serialize};
-use svm::{train_smo_guarded, Dataset, Kernel, LinearModel, PlattScaler, SmoConfig, SvmError};
+use svm::{train_smo_guarded, Dataset, LinearModel, PlattScaler, SmoConfig, SvmError};
 
 /// Per-path weights for both similarity measures.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,7 +94,7 @@ impl LearnedModel {
 /// from featurized training pairs. Rows are pushed **in pair order**, so
 /// the datasets — and everything the SMO optimizer derives from them — are
 /// independent of how many threads featurized the pairs.
-// distinct-lint: allow(D005, reason="bounded by the training-pair cap; train_weights_guarded charges the budget in the SMO loop that follows")
+// bounded by the training-pair cap; train_weights_guarded charges the budget in the SMO loop that follows
 pub fn assemble_datasets(
     features: &[crate::training::PairFeatures],
 ) -> Result<(Dataset, Dataset), SvmError> {
@@ -155,10 +155,9 @@ fn train_one(
         seed,
         ..Default::default()
     };
-    let kernel_model = train_smo_guarded(&scaled, Kernel::Linear, &cfg, guard)?;
+    let kernel_model = train_smo_guarded(&scaled, &cfg, guard)?;
     let accuracy = kernel_model.accuracy(&scaled);
-    // distinct-lint: allow(D002, D101, reason="kernel is Kernel::Linear two lines up, and to_linear is total for linear kernels")
-    let linear = kernel_model.to_linear().expect("linear kernel collapses");
+    let linear = kernel_model.to_linear();
     // Undo the global scale (a uniform rescaling: relative weights are
     // unchanged, and they are normalized downstream anyway).
     let w: Vec<f64> = linear.weights.iter().map(|&wi| wi * scale).collect();

@@ -423,7 +423,7 @@ impl Distinct {
     /// the hook the oracle differential suite uses to pin
     /// [`relgraph::Resemblance::Exact`] and the pruned default against
     /// each other bit for bit.
-    // distinct-lint: allow(D005, reason="documented sequential diagnostic surface outside resolve()'s budget scope")
+    // documented sequential diagnostic surface outside resolve()'s budget scope
     pub fn stage_probe_with(
         &self,
         refs: &[TupleRef],
@@ -439,7 +439,7 @@ impl Distinct {
             &exec::Executor::sequential(),
             &|_| true,
         );
-        // distinct-lint: allow(D002, reason="guard is the constant true closure above, so the build can never be refused")
+        // guard is the constant true closure above, so the build can never be refused
         let merger = merger.expect("permissive guard never stops the matrix build");
         let n = refs.len();
         let mut resemblance = vec![vec![0.0; n]; n];

@@ -1,4 +1,4 @@
-//! Inline suppressions: `// distinct-lint: allow(D002, reason="...")`.
+//! Inline suppressions: `// distinct-lint: allow(D101, reason="...")`.
 //!
 //! A suppression comment covers findings on its own line; a comment that
 //! stands alone on a line covers the next source line instead. Every
@@ -141,7 +141,7 @@ pub fn parse_scratch(body: &str) -> Result<String, String> {
     Ok(inner.trim().to_string())
 }
 
-/// Parse `allow(D001, D004, reason="...")`.
+/// Parse `allow(D101, D004, reason="...")`.
 fn parse_body(body: &str) -> Result<(Vec<LintId>, String), String> {
     let body = body.trim();
     let inner = body
@@ -230,19 +230,19 @@ mod tests {
 
     #[test]
     fn trailing_suppression_covers_its_line() {
-        let c = ctx("let x = m.get(&k); // distinct-lint: allow(D002, reason=\"checked above\")");
+        let c = ctx("let x = m.get(&k); // distinct-lint: allow(D101, reason=\"checked above\")");
         let (sups, bad) = collect(&c);
         assert!(bad.is_empty());
         assert_eq!(sups.len(), 1);
         assert_eq!(sups[0].target_line, 1);
-        assert_eq!(sups[0].ids, vec![LintId::D002]);
+        assert_eq!(sups[0].ids, vec![LintId::D101]);
         assert_eq!(sups[0].reason, "checked above");
     }
 
     #[test]
     fn standalone_suppression_covers_next_line() {
         let c = ctx(
-            "// distinct-lint: allow(D001, reason=\"integer counts only\")\nfor v in m.values() {}",
+            "// distinct-lint: allow(D107, reason=\"integer counts only\")\nfor v in m.values() {}",
         );
         let (sups, bad) = collect(&c);
         assert!(bad.is_empty());
@@ -251,16 +251,16 @@ mod tests {
 
     #[test]
     fn multiple_ids() {
-        let c = ctx("x(); // distinct-lint: allow(D002, D004, reason=\"why, and more\")");
+        let c = ctx("x(); // distinct-lint: allow(D101, D004, reason=\"why, and more\")");
         let (sups, bad) = collect(&c);
         assert!(bad.is_empty());
-        assert_eq!(sups[0].ids, vec![LintId::D002, LintId::D004]);
+        assert_eq!(sups[0].ids, vec![LintId::D101, LintId::D004]);
         assert_eq!(sups[0].reason, "why, and more");
     }
 
     #[test]
     fn missing_reason_is_d000() {
-        let c = ctx("x(); // distinct-lint: allow(D002)");
+        let c = ctx("x(); // distinct-lint: allow(D101)");
         let (sups, bad) = collect(&c);
         assert!(sups.is_empty());
         assert_eq!(bad.len(), 1);
@@ -269,16 +269,29 @@ mod tests {
 
     #[test]
     fn empty_reason_is_d000() {
-        let c = ctx("x(); // distinct-lint: allow(D002, reason=\"  \")");
+        let c = ctx("x(); // distinct-lint: allow(D101, reason=\"  \")");
         let (_, bad) = collect(&c);
         assert_eq!(bad.len(), 1);
     }
 
     #[test]
     fn unknown_id_is_d000() {
-        let c = ctx("x(); // distinct-lint: allow(D042, reason=\"nope\")");
-        let (_, bad) = collect(&c);
-        assert_eq!(bad.len(), 1);
+        // Retired IDs are unknown too: an allow naming one is loud, not
+        // silently inert.
+        for id in ["D042", "D001", "D002", "D005"] {
+            let c = ctx(&format!(
+                "x(); // distinct-lint: allow({id}, reason=\"nope\")"
+            ));
+            let (sups, bad) = collect(&c);
+            assert!(sups.is_empty(), "{id}");
+            assert_eq!(bad.len(), 1, "{id}");
+            assert_eq!(bad[0].id, LintId::D000, "{id}");
+            assert!(
+                bad[0].message.contains("unknown lint id"),
+                "{id}: {}",
+                bad[0].message
+            );
+        }
     }
 
     #[test]
@@ -321,17 +334,17 @@ mod tests {
 
     #[test]
     fn apply_consumes_matching_findings() {
-        let c = ctx("bad(); // distinct-lint: allow(D002, reason=\"proven\")");
+        let c = ctx("bad(); // distinct-lint: allow(D101, reason=\"proven\")");
         let (mut sups, _) = collect(&c);
         let fs = vec![
             Finding {
-                id: LintId::D002,
+                id: LintId::D101,
                 file: "f".into(),
                 line: 1,
                 message: "m".into(),
             },
             Finding {
-                id: LintId::D002,
+                id: LintId::D101,
                 file: "f".into(),
                 line: 9,
                 message: "m".into(),

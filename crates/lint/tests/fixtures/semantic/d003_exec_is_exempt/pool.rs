@@ -1,6 +1,5 @@
 //@ crate: exec
 //@ path: crates/exec/src/pool_fixture.rs
-//@ role: library
 
 use std::sync::mpsc;
 use std::thread;

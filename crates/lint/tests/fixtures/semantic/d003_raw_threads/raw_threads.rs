@@ -1,6 +1,5 @@
 //@ crate: cluster
 //@ path: crates/cluster/src/bad_d003.rs
-//@ role: library
 
 use std::sync::mpsc;
 use std::thread;

@@ -1,6 +1,5 @@
 //@ crate: eval
 //@ path: crates/eval/src/bad_d004.rs
-//@ role: library
 
 /// Times a stage with a raw clock read instead of RunControl's budget.
 pub fn measure() -> u128 {

@@ -1,6 +1,5 @@
 //@ crate: relgraph
 //@ path: crates/relgraph/src/bad_d006.rs
-//@ role: library
 
 /// Narrows the pipeline to f32 "to save memory" — resemblances and walk
 /// probabilities lose the bits the golden corpus pins.

@@ -1,6 +1,5 @@
 //@ crate: core
 //@ path: crates/core/src/bad_d007.rs
-//@ role: library
 
 pub struct Naked { //~ D007
     /// Documented fields do not rescue an undocumented item.

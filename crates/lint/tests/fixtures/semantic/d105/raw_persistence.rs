@@ -1,6 +1,5 @@
 //@ crate: core
 //@ path: crates/core/src/bad_d105.rs
-//@ role: library
 
 use std::fs::{File, OpenOptions};
 use std::path::Path;

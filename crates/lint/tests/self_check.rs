@@ -11,30 +11,16 @@ fn workspace_root() -> PathBuf {
         .expect("lint crate lives inside the workspace")
 }
 
-/// The CI gate in library form: no new findings, no stale baseline
-/// entries, no suppression-hygiene (D000) debt. An exact match — if a
-/// finding was fixed, the baseline must be ratcheted down too.
+/// The CI gate in library form: the per-file and interprocedural lints
+/// together leave no new findings, no stale baseline entries, and no
+/// suppression-hygiene (D000) debt. An exact match — if a finding was
+/// fixed, the baseline must be ratcheted down too.
 #[test]
 fn workspace_is_exactly_as_clean_as_the_baseline() {
     let outcome = lint::check(&workspace_root()).expect("check runs");
     assert!(
         outcome.diff.is_clean(),
         "workspace drifted from lint.toml\n  new debt: {:#?}\n  stale: {:?}",
-        outcome.diff.new_debt,
-        outcome.diff.stale
-    );
-}
-
-/// The same gate in semantic mode: the interprocedural lints D101–D113
-/// (plus the shared per-file passes) must also match the baseline exactly
-/// against the live workspace.
-#[test]
-fn workspace_is_semantically_clean() {
-    let outcome =
-        lint::check_mode(&workspace_root(), lint::Mode::Semantic).expect("semantic check runs");
-    assert!(
-        outcome.diff.is_clean(),
-        "workspace drifted from lint.toml under --semantic\n  new debt: {:#?}\n  stale: {:?}",
         outcome.diff.new_debt,
         outcome.diff.stale
     );
@@ -57,9 +43,9 @@ fn crate_graph_is_acyclic_with_exec_below_core() {
 }
 
 /// Drive the real `lint` binary over a scratch workspace seeded with
-/// D001/D002/D003/D105 violations: check fails with each ID reported, the
-/// baseline ratchet accepts the debt, new debt fails again, and removing
-/// a baselined finding without ratcheting down is itself an error.
+/// D003/D105 violations: check fails with each ID reported, the baseline
+/// ratchet accepts the debt, new debt fails again, and removing a
+/// baselined finding without ratcheting down is itself an error.
 #[test]
 fn binary_fails_on_seeded_violations_and_ratchets() {
     let scratch =
@@ -68,18 +54,14 @@ fn binary_fails_on_seeded_violations_and_ratchets() {
     let src_dir = scratch.join("crates/app/src");
     std::fs::create_dir_all(&src_dir).expect("mkdir scratch workspace");
     std::fs::write(scratch.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    // `check` loads the crate graph, so the scratch crate needs a manifest.
+    std::fs::write(
+        scratch.join("crates/app/Cargo.toml"),
+        "[package]\nname = \"app\"\n",
+    )
+    .expect("write crate manifest");
 
     let seeded = "\
-use rustc_hash::FxHashMap;
-
-pub fn total(weights: &FxHashMap<u32, f64>) -> f64 {
-    weights.values().sum()
-}
-
-pub fn head(xs: &[f64]) -> f64 {
-    xs.first().unwrap()
-}
-
 pub fn go() {
     std::thread::spawn(|| {});
 }
@@ -91,47 +73,36 @@ pub fn persist(p: &std::path::Path) {
     let lib = src_dir.join("lib.rs");
     std::fs::write(&lib, seeded).expect("write seeded lib");
 
-    let run = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_lint"))
-            .args(args)
-            .arg("--root")
-            .arg(&scratch)
-            .output()
-            .expect("spawn lint binary");
-        let text = format!(
-            "{}{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        (out.status.code(), text)
-    };
-
     // 1. No baseline: every seeded violation is new debt, exit 1.
-    let (code, text) = run(&["check"]);
+    let (code, text) = run_lint(&["check"], &scratch);
     assert_eq!(code, Some(1), "seeded workspace must fail check:\n{text}");
-    for id in ["D001", "D002", "D003", "D105"] {
+    for id in ["D003", "D105"] {
         assert!(text.contains(id), "missing {id} in:\n{text}");
     }
 
     // 2. Ratchet the debt in, then check is clean.
-    let (code, text) = run(&["check", "--fix-baseline"]);
+    let (code, text) = run_lint(&["check", "--fix-baseline"], &scratch);
     assert_eq!(code, Some(0), "fix-baseline failed:\n{text}");
-    let (code, text) = run(&["check"]);
+    let (code, text) = run_lint(&["check"], &scratch);
     assert_eq!(code, Some(0), "baselined workspace must pass:\n{text}");
 
     // 3. New debt on top of the baseline still fails.
     std::fs::write(
         &lib,
-        format!("{seeded}\npub fn more(xs: &[f64]) -> f64 {{\n    xs.last().unwrap()\n}}\n"),
+        format!("{seeded}\npub fn more() {{\n    std::thread::spawn(|| {{}});\n}}\n"),
     )
     .expect("append new debt");
-    let (code, text) = run(&["check"]);
+    let (code, text) = run_lint(&["check"], &scratch);
     assert_eq!(code, Some(1), "new debt must fail:\n{text}");
-    assert!(text.contains("D002"), "new unwrap not reported:\n{text}");
+    assert!(text.contains("D003"), "new spawn not reported:\n{text}");
 
     // 4. Fixing a finding without ratcheting the baseline down is stale.
-    std::fs::write(&lib, seeded.replace("xs.first().unwrap()", "42.0")).expect("fix a finding");
-    let (code, text) = run(&["check"]);
+    std::fs::write(
+        &lib,
+        seeded.replace("std::fs::write(p, b\"state\")", "p.exists()"),
+    )
+    .expect("fix a finding");
+    let (code, text) = run_lint(&["check"], &scratch);
     assert_eq!(code, Some(1), "stale baseline must fail:\n{text}");
     assert!(
         text.contains("[stale]"),
@@ -184,10 +155,10 @@ fn run_lint(args: &[&str], root: &Path) -> (Option<i32>, String) {
     (out.status.code(), text)
 }
 
-/// The PR's acceptance scenario, end to end: copy the real workspace,
-/// confirm `check --semantic` passes on the copy, then seed a panic site
-/// into crates/cluster reachable from a new `resolve*` entry point and
-/// assert the binary fails with a D101 finding naming the call chain.
+/// Copy the real workspace, confirm `check` passes on the copy, then
+/// seed a panic site into crates/cluster reachable from a new `resolve*`
+/// entry point and assert the binary fails with a D101 finding naming the
+/// call chain.
 #[test]
 fn binary_reports_seeded_panic_reachable_from_resolve() {
     let scratch =
@@ -196,8 +167,8 @@ fn binary_reports_seeded_panic_reachable_from_resolve() {
     copy_workspace(&workspace_root(), &scratch);
 
     // The pristine copy is exactly as clean as the real workspace.
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(0), "pristine copy must pass --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(0), "pristine copy must pass check:\n{text}");
 
     // Seed: an unwrap in crates/cluster plus a core entry point that
     // reaches it. Lexing does not require the files to be `mod`-declared.
@@ -213,8 +184,8 @@ fn binary_reports_seeded_panic_reachable_from_resolve() {
     )
     .expect("seed core entry point");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D101"), "no D101 reported:\n{text}");
     assert!(
         text.contains("crates/cluster/src/seeded.rs"),
@@ -225,22 +196,12 @@ fn binary_reports_seeded_panic_reachable_from_resolve() {
         "finding does not name the call chain from the entry point:\n{text}"
     );
 
-    // Syntactic mode is indifferent to reachability: the same workspace
-    // fails there too, but as a plain per-file D002.
-    let (code, text) = run_lint(&["check"], &scratch);
-    assert_eq!(
-        code,
-        Some(1),
-        "seeded copy must fail syntactic check:\n{text}"
-    );
-    assert!(text.contains("D002"), "no D002 reported:\n{text}");
-
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// Seed a guard held across an exec pool submit into crates/core and
-/// assert `check --semantic` fails with a D106 finding that names the
-/// guard binding and the blocking call.
+/// assert `check` fails with a D106 finding that names the guard binding
+/// and the blocking call.
 #[test]
 fn binary_reports_seeded_guard_across_pool_boundary() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d106-{}", std::process::id()));
@@ -255,8 +216,8 @@ fn binary_reports_seeded_guard_across_pool_boundary() {
     )
     .expect("seed guard-liveness violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D106"), "no D106 reported:\n{text}");
     assert!(
         text.contains("`g`") && text.contains("par_map_guarded"),
@@ -266,8 +227,8 @@ fn binary_reports_seeded_guard_across_pool_boundary() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// Seed an unordered hash fold into crates/core and assert semantic mode
-/// reports it as D107 (the flow-sensitive subsumption of syntactic D001).
+/// Seed an unordered hash fold into crates/core and assert `check`
+/// reports it as D107.
 #[test]
 fn binary_reports_seeded_hash_fold_as_determinism_taint() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d107-{}", std::process::id()));
@@ -282,8 +243,8 @@ fn binary_reports_seeded_hash_fold_as_determinism_taint() {
     )
     .expect("seed determinism-taint violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D107"), "no D107 reported:\n{text}");
     assert!(
         text.contains("seeded_total"),
@@ -294,7 +255,7 @@ fn binary_reports_seeded_hash_fold_as_determinism_taint() {
 }
 
 /// Strip the `shared(...)` declaration off a real registered cell
-/// (ProfileCache's shard array) and assert semantic mode fails with D108
+/// (ProfileCache's shard array) and assert `check` fails with D108
 /// — and that `--fix-baseline` refuses to absorb it as debt.
 #[test]
 fn binary_reports_stripped_shared_declaration_and_refuses_to_baseline_it() {
@@ -312,15 +273,15 @@ fn binary_reports_stripped_shared_declaration_and_refuses_to_baseline_it() {
     assert_ne!(src, stripped, "cache.rs must carry a shared() declaration");
     std::fs::write(&cache, stripped).expect("strip declaration");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "stripped copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "stripped copy must fail check:\n{text}");
     assert!(text.contains("D108"), "no D108 reported:\n{text}");
     assert!(
         text.contains("ProfileCache") && text.contains("crates/core/src/cache.rs"),
         "finding does not name the owner and file:\n{text}"
     );
 
-    let (code, text) = run_lint(&["check", "--semantic", "--fix-baseline"], &scratch);
+    let (code, text) = run_lint(&["check", "--fix-baseline"], &scratch);
     assert_eq!(code, Some(2), "fix-baseline must refuse D108 debt:\n{text}");
     assert!(
         text.contains("shared(") && text.contains("declaration"),
@@ -331,7 +292,7 @@ fn binary_reports_stripped_shared_declaration_and_refuses_to_baseline_it() {
 }
 
 /// Seed a pool closure that mutates a captured buffer and assert
-/// semantic mode reports it as D109 with the return-per-task guidance.
+/// `check` reports it as D109 with the return-per-task guidance.
 #[test]
 fn binary_reports_seeded_closure_capture_mutation() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d109-{}", std::process::id()));
@@ -348,8 +309,8 @@ fn binary_reports_seeded_closure_capture_mutation() {
     )
     .expect("seed commit-mutation violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D109"), "no D109 reported:\n{text}");
     assert!(
         text.contains("`out`") && text.contains("ordered-commit"),
@@ -360,7 +321,7 @@ fn binary_reports_seeded_closure_capture_mutation() {
 }
 
 /// Seed a charge-guarded function that allocates on every loop iteration
-/// into crates/core and assert semantic mode reports it as D110.
+/// into crates/core and assert `check` reports it as D110.
 #[test]
 fn binary_reports_seeded_hot_loop_allocation() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d110-{}", std::process::id()));
@@ -377,8 +338,8 @@ fn binary_reports_seeded_hot_loop_allocation() {
     )
     .expect("seed hot-loop allocation violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D110"), "no D110 reported:\n{text}");
     assert!(
         text.contains("seeded_features"),
@@ -389,7 +350,7 @@ fn binary_reports_seeded_hot_loop_allocation() {
 }
 
 /// Seed a clone that is only ever read afterwards into crates/core and
-/// assert semantic mode reports it as D111 with the borrow guidance.
+/// assert `check` reports it as D111 with the borrow guidance.
 #[test]
 fn binary_reports_seeded_read_only_clone() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d111-{}", std::process::id()));
@@ -404,8 +365,8 @@ fn binary_reports_seeded_read_only_clone() {
     )
     .expect("seed read-only clone violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D111"), "no D111 reported:\n{text}");
     assert!(
         text.contains("`copy`") && text.contains("borrow"),
@@ -417,7 +378,7 @@ fn binary_reports_seeded_read_only_clone() {
 
 /// Strip the `scratch(...)` declaration off a real registered scratch
 /// structure (the pooled `SetArena` minted in `ArenaPool::take`) and
-/// assert semantic mode fails with D112 — and that `--fix-baseline`
+/// assert `check` fails with D112 — and that `--fix-baseline`
 /// refuses to absorb it as debt, mirroring the D108 refusal.
 #[test]
 fn binary_reports_stripped_scratch_declaration_and_refuses_to_baseline_it() {
@@ -435,15 +396,15 @@ fn binary_reports_stripped_scratch_declaration_and_refuses_to_baseline_it() {
     assert_ne!(src, stripped, "arena.rs must carry a scratch() declaration");
     std::fs::write(&arena, stripped).expect("strip declaration");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "stripped copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "stripped copy must fail check:\n{text}");
     assert!(text.contains("D112"), "no D112 reported:\n{text}");
     assert!(
         text.contains("SetArena") && text.contains("crates/relgraph/src/arena.rs"),
         "finding does not name the scratch type and file:\n{text}"
     );
 
-    let (code, text) = run_lint(&["check", "--semantic", "--fix-baseline"], &scratch);
+    let (code, text) = run_lint(&["check", "--fix-baseline"], &scratch);
     assert_eq!(code, Some(2), "fix-baseline must refuse D112 debt:\n{text}");
     assert!(
         text.contains("scratch(") && text.contains("declaration"),
@@ -454,7 +415,7 @@ fn binary_reports_stripped_scratch_declaration_and_refuses_to_baseline_it() {
 }
 
 /// Seed a spine-reachable struct field that only ever grows into
-/// crates/core and assert semantic mode reports it as D113.
+/// crates/core and assert `check` reports it as D113.
 #[test]
 fn binary_reports_seeded_unbounded_growth() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d113-{}", std::process::id()));
@@ -471,8 +432,8 @@ fn binary_reports_seeded_unbounded_growth() {
     )
     .expect("seed unbounded-growth violation");
 
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(1), "seeded copy must fail --semantic:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(1), "seeded copy must fail check:\n{text}");
     assert!(text.contains("D113"), "no D113 reported:\n{text}");
     assert!(
         text.contains("SeededLog") && text.contains("events"),
@@ -500,10 +461,12 @@ fn facts_export_lists_the_production_cells() {
     );
 }
 
-/// Doc-drift gate: every lint in the catalog must have a working
-/// `--explain` (a real rationale, not a stub) and a LINTS.md section —
-/// both the index-table row and the full `## Dxxx — ...` entry. A new
-/// pass cannot ship half-documented.
+/// Doc-drift gate, both directions: every lint in the catalog must have a
+/// working `--explain` (a real rationale, not a stub) and a LINTS.md
+/// section — both the index-table row and the full `## Dxxx — ...` entry
+/// — and every `## Dxxx` heading in LINTS.md must name a catalog ID. A
+/// new pass cannot ship half-documented, and a retired one cannot leave
+/// its section behind.
 #[test]
 fn every_catalog_id_has_explain_and_a_lints_md_section() {
     let lints_md = std::fs::read_to_string(workspace_root().join("LINTS.md"))
@@ -534,6 +497,18 @@ fn every_catalog_id_has_explain_and_a_lints_md_section() {
             "LINTS.md index table has no row linking to {id}"
         );
     }
+    for heading in lints_md.lines().filter_map(|l| l.strip_prefix("## ")) {
+        let Some(word) = heading.split_whitespace().next() else {
+            continue;
+        };
+        if word.len() == 4 && word.starts_with('D') && word[1..].bytes().all(|b| b.is_ascii_digit())
+        {
+            assert!(
+                lint::catalog::LintId::parse(word).is_some(),
+                "LINTS.md has a `## {heading}` section but {word} is not in the catalog"
+            );
+        }
+    }
 }
 
 /// A directory under `crates/` without a manifest must be a loud, typed
@@ -558,10 +533,10 @@ fn graph_fails_loudly_on_missing_manifest() {
         "error does not name the stray directory:\n{text}"
     );
 
-    // The semantic check depends on the same crate topology, so it fails
+    // `check` depends on the same crate topology, so it fails
     // with the same typed error instead of silently under-resolving.
-    let (code, text) = run_lint(&["check", "--semantic"], &scratch);
-    assert_eq!(code, Some(2), "semantic check must fail too:\n{text}");
+    let (code, text) = run_lint(&["check"], &scratch);
+    assert_eq!(code, Some(2), "check must fail too:\n{text}");
     assert!(text.contains("no Cargo.toml"), "{text}");
 
     let _ = std::fs::remove_dir_all(&scratch);

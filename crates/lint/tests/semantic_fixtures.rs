@@ -1,22 +1,24 @@
-//! Fixture-based self-tests for the interprocedural (semantic) lints.
+//! Fixture-based self-tests for every lint.
 //!
 //! Each subdirectory of `tests/fixtures/semantic/` is one virtual
-//! workspace. Every `*.rs` file in a group declares its location with
-//! `//@ path:` / `//@ crate:` headers, its crate's *normal* dependencies
-//! with `//@ deps:` (comma-separated crate directory names), and
-//! optionally a `//@ package:` display name. Expected findings are `//~
-//! D1xx` markers on the offending lines, exactly as in the syntactic
-//! fixture suite. The harness builds the symbol table and call graph the
-//! same way `check --semantic` does (explicit topology in place of
-//! `Cargo.toml` parsing), runs the per-file semantic passes plus the
-//! interprocedural ones, applies suppressions, and asserts the (lint,
-//! line) multiset per file matches the markers — no more, no less.
+//! workspace (a one-file group for a per-file lint, several files for a
+//! call-graph one). Every `*.rs` file in a group declares its location
+//! with `//@ path:` / `//@ crate:` headers, its crate's *normal*
+//! dependencies with `//@ deps:` (comma-separated crate directory
+//! names), and optionally a `//@ package:` display name. Expected
+//! findings are `//~ Dxxx` markers on the offending lines. The harness
+//! builds the symbol table and call graph the same way `check` does
+//! (explicit topology in place of `Cargo.toml` parsing), runs the
+//! per-file passes plus the interprocedural ones, applies suppressions
+//! (unused ones become D000s), and asserts the (lint, line) multiset per
+//! file matches the markers — no more, no less. The fixtures directory
+//! itself is excluded from real workspace scans by `model::classify`.
 
 use lint::callgraph::{self, CallGraph};
 use lint::catalog::{Finding, LintId};
 use lint::model::{FileCtx, Role};
 use lint::symbols::Workspace;
-use lint::{passes, suppress, Mode};
+use lint::{passes, suppress};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -152,8 +154,8 @@ fn closures_of(files: &[SemFile]) -> BTreeMap<String, BTreeSet<String>> {
     closures
 }
 
-/// Run one group through the same pipeline `lint::analyze_mode` uses in
-/// semantic mode, returning findings keyed by the fixture file's name.
+/// Run one group through the same pipeline `lint::analyze` uses,
+/// returning findings keyed by the fixture file's name.
 fn findings_for(group: &Group) -> BTreeMap<String, Vec<(LintId, u32)>> {
     let ctxs: Vec<FileCtx> = group
         .files
@@ -176,11 +178,11 @@ fn findings_for(group: &Group) -> BTreeMap<String, Vec<(LintId, u32)>> {
     for (file, ctx) in group.files.iter().zip(&ctxs) {
         let (mut sups, malformed) = suppress::collect(ctx);
         let mut findings: Vec<Finding> = malformed;
-        let mut raw = passes::run_semantic_file(ctx);
+        let mut raw = passes::run_file(ctx);
         raw.extend(semantic.remove(&ctx.path).unwrap_or_default());
         findings.extend(suppress::apply(raw, &mut sups));
         for s in &sups {
-            if !s.used && s.ids.iter().any(|id| Mode::Semantic.is_active(*id)) {
+            if !s.used {
                 findings.push(Finding {
                     id: LintId::D000,
                     file: ctx.path.clone(),
@@ -197,11 +199,11 @@ fn findings_for(group: &Group) -> BTreeMap<String, Vec<(LintId, u32)>> {
 }
 
 #[test]
-fn every_semantic_fixture_matches_its_markers() {
+fn every_fixture_matches_its_markers() {
     let groups = load_groups();
     assert!(
-        groups.len() >= 4,
-        "expected the full semantic fixture set, found {}",
+        groups.len() >= 17,
+        "expected the full fixture set, found {}",
         groups.len()
     );
     for g in &groups {
@@ -219,7 +221,7 @@ fn every_semantic_fixture_matches_its_markers() {
 }
 
 #[test]
-fn semantic_fixtures_cover_every_semantic_lint() {
+fn fixtures_cover_every_lint() {
     let groups = load_groups();
     let seen: BTreeSet<LintId> = groups
         .iter()
@@ -227,14 +229,9 @@ fn semantic_fixtures_cover_every_semantic_lint() {
         .flat_map(|f| f.expected.iter().map(|&(id, _)| id))
         .collect();
     for id in LintId::ALL {
-        // The semantic-only lints are exactly the ones syntactic mode
-        // never runs.
-        if Mode::Syntactic.is_active(id) {
-            continue;
-        }
         assert!(
             seen.contains(&id),
-            "no semantic fixture exercises {id:?}; add a `//~ {}` case",
+            "no fixture exercises {id:?}; add a `//~ {}` case",
             id.name()
         );
     }
@@ -282,7 +279,7 @@ fn cross_file_panic_chain_names_the_entry_point() {
 }
 
 #[test]
-fn semantic_fixture_paths_are_invisible_to_real_scans() {
+fn fixture_paths_are_invisible_to_real_scans() {
     assert_eq!(
         lint::model::classify("crates/lint/tests/fixtures/semantic/panic_reach/core.rs"),
         None

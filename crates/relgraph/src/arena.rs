@@ -153,7 +153,7 @@ impl SetArena {
             for (NodeId(n), w) in set.iter() {
                 let dense = universe
                     .binary_search(&n)
-                    // distinct-lint: allow(D002, D101, reason="universe is the sorted dedup of exactly the ids iterated here (collected one loop above from the same sets), so the search always succeeds")
+                    // distinct-lint: allow(D101, reason="universe is the sorted dedup of exactly the ids iterated here (collected one loop above from the same sets), so the search always succeeds")
                     .expect("every row id was collected into the universe");
                 self.ids.push(dense as u32);
                 self.weights.push(w);
@@ -352,7 +352,7 @@ impl ArenaPool {
     /// Callers must [`SetArena::rebuild`] it before use and should
     /// [`ArenaPool::put`] it back when the stage is done.
     pub fn take(&self) -> SetArena {
-        // distinct-lint: allow(D002, D101, reason="a poisoned pool mutex means a kernel stage panicked mid-build; resolve is already unwinding and recycled capacity is unrecoverable")
+        // distinct-lint: allow(D101, reason="a poisoned pool mutex means a kernel stage panicked mid-build; resolve is already unwinding and recycled capacity is unrecoverable")
         if let Some(arena) = self.free.lock().unwrap().pop() {
             return arena;
         }
@@ -362,7 +362,7 @@ impl ArenaPool {
 
     /// Return an arena to the free list for the next stage to reuse.
     pub fn put(&self, arena: SetArena) {
-        // distinct-lint: allow(D002, D101, reason="a poisoned pool mutex means a kernel stage panicked mid-build; resolve is already unwinding, so losing the returned capacity is the correct degraded behavior")
+        // distinct-lint: allow(D101, reason="a poisoned pool mutex means a kernel stage panicked mid-build; resolve is already unwinding, so losing the returned capacity is the correct degraded behavior")
         self.free.lock().unwrap().push(arena);
     }
 

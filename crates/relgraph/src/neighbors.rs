@@ -133,7 +133,7 @@ impl WeightedSet {
 
     /// Build from `(node, weight)` pairs, summing duplicates (in input
     /// order, so the result is a pure function of the input sequence).
-    // distinct-lint: allow(D005, reason="bounded per-set construction; callers charge the budget per profile/pair")
+    // bounded per-set construction; callers charge the budget per profile/pair
     pub fn from_pairs(pairs: impl IntoIterator<Item = (NodeId, f64)>) -> Self {
         let mut w: Vec<(NodeId, f64)> = pairs.into_iter().collect();
         w.sort_by_key(|&(n, _)| n); // stable: duplicate runs keep input order
@@ -177,7 +177,7 @@ impl WeightedSet {
     }
 
     /// Scale every weight by `factor` (used when averaging cluster members).
-    // distinct-lint: allow(D005, reason="O(len) leaf over one set; callers charge the budget per merge")
+    // O(len) leaf over one set; callers charge the budget per merge
     pub fn scale(&mut self, factor: f64) {
         for w in &mut self.weights {
             w.1 *= factor;
@@ -186,7 +186,7 @@ impl WeightedSet {
 
     /// Merge another set into this one, summing weights (merge-join of the
     /// two sorted pair lists, so the result is order-independent).
-    // distinct-lint: allow(D005, reason="O(len) leaf over two sets; callers charge the budget per merge")
+    // O(len) leaf over two sets; callers charge the budget per merge
     pub fn merge(&mut self, other: &WeightedSet) {
         // The merge-join below is only correct on sorted inputs; every
         // constructor sorts, so a violation here means a corrupted set.
@@ -251,7 +251,7 @@ impl WeightedSet {
 
 /// The exact merge-join resemblance kernel behind both
 /// [`WeightedSet::resemblance`] and [`Resemblance::weighted`].
-// distinct-lint: allow(D005, reason="O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair")
+// O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair
 fn exact_resemblance(a: &WeightedSet, b: &WeightedSet) -> f64 {
     debug_assert!(is_sorted(&a.weights), "resemblance lhs not sorted");
     debug_assert!(is_sorted(&b.weights), "resemblance rhs not sorted");
@@ -287,7 +287,7 @@ fn exact_resemblance(a: &WeightedSet, b: &WeightedSet) -> f64 {
 
 /// The exact unweighted Jaccard kernel behind
 /// [`WeightedSet::jaccard_unweighted`] and [`Resemblance::unweighted`].
-// distinct-lint: allow(D005, reason="O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair")
+// O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair
 fn exact_jaccard(a: &WeightedSet, b: &WeightedSet) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;

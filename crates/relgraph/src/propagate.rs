@@ -90,7 +90,7 @@ pub fn propagate_blocked(
     blocked: &[NodeId],
 ) -> Propagation {
     propagate_blocked_guarded(graph, catalog, path, origin, blocked, &mut |_| true)
-        // distinct-lint: allow(D002, reason="guard is the constant true closure above, so the traversal can never be abandoned")
+        // guard is the constant true closure above, so the traversal can never be abandoned
         .expect("permissive guard never stops propagation")
 }
 
@@ -170,7 +170,7 @@ pub fn propagate_blocked_guarded(
         // Each `u` gets an independent entry and `acc` sums over the
         // deterministic reverse-neighbor slice, so iteration order cannot
         // affect any value — only the map's (unobserved) internal layout.
-        // distinct-lint: allow(D001, reason="per-key insert with no cross-key accumulation; acc sums a deterministic slice")
+        // per-key insert with no cross-key accumulation; acc sums a deterministic slice
         for &u in levels[i + 1].keys() {
             let nbrs = graph.step_neighbors(rev, u, rev_src_rel);
             debug_assert!(!nbrs.is_empty(), "reached tuple has no reverse neighbor");

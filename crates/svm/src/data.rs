@@ -139,16 +139,6 @@ impl Dataset {
         (pos, self.labels.len() - pos)
     }
 
-    /// A new dataset holding the samples at `indices` (cloned).
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let mut d = Dataset::new();
-        for &i in indices {
-            d.push(self.features[i].clone(), self.labels[i])
-                .expect("subset of valid data"); // distinct-lint: allow(D002, reason="source rows were validated by their own push; a subset cannot introduce a new arity or label")
-        }
-        d
-    }
-
     /// Require at least one sample of each class (solvers need both).
     pub fn require_both_classes(&self) -> Result<()> {
         let (pos, neg) = self.class_counts();
@@ -219,16 +209,6 @@ mod tests {
         assert!(matches!(r, Err(SvmError::Degenerate(_))));
         let ok = Dataset::from_parts(vec![vec![1.0], vec![2.0]], vec![1.0, -1.0]).unwrap();
         assert_eq!(ok.len(), 2);
-    }
-
-    #[test]
-    fn subset_preserves_samples() {
-        let d = Dataset::from_parts(vec![vec![1.0], vec![2.0], vec![3.0]], vec![1.0, -1.0, 1.0])
-            .unwrap();
-        let s = d.subset(&[2, 0]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.x(0), &[3.0]);
-        assert_eq!(s.y(1), 1.0);
     }
 
     #[test]

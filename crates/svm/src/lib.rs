@@ -1,40 +1,30 @@
-//! # svm — from-scratch Support Vector Machine library
+//! # svm — from-scratch linear Support Vector Machine
 //!
 //! DISTINCT learns one weight per join path with a linear-kernel SVM
-//! (paper §3). Rust has no canonical SVM crate, so this one implements the
-//! whole stack from scratch:
+//! (paper §3). Rust has no canonical SVM crate, so this one implements
+//! what that needs from scratch:
 //!
 //! * [`Dataset`] — binary-labeled dense feature vectors;
-//! * [`Kernel`] — linear, polynomial, and RBF kernels;
 //! * [`train_smo`] — Platt's Sequential Minimal Optimization for the dual
-//!   soft-margin problem (the LIBSVM algorithm family);
-//! * [`train_pegasos`] — primal stochastic sub-gradient descent, used both
-//!   as a fast solver and as an independent cross-check of SMO;
-//! * [`LinearModel`] / [`KernelModel`] — decision functions, with dual→
-//!   primal collapse for the linear kernel;
-//! * [`StandardScaler`] — feature standardization with weight unscaling;
-//! * [`PlattScaler`] — probability calibration of decision values;
-//! * [`cross_validate`] / [`select_c`] — deterministic k-fold evaluation
-//!   and hyperparameter grid search.
+//!   soft-margin problem with the linear kernel (the LIBSVM algorithm
+//!   family);
+//! * [`KernelModel`] / [`LinearModel`] — the dual form SMO returns and the
+//!   primal weights it collapses to;
+//! * [`PlattScaler`] — probability calibration of decision values.
+//!
+//! The tests also carry a Pegasos primal sub-gradient solver, used only
+//! as an independent cross-check of SMO on the same objective.
 
 #![warn(missing_docs)]
 
-pub mod cv;
 pub mod data;
-pub mod grid;
-pub mod kernel;
 pub mod model;
-pub mod pegasos;
+#[cfg(test)]
+mod pegasos;
 pub mod platt;
-pub mod scale;
 pub mod smo;
 
-pub use cv::{cross_validate, kfold_indices, mean};
 pub use data::{dot, Dataset, Result, SvmError};
-pub use grid::{default_c_grid, select_c, GridSearchResult};
-pub use kernel::Kernel;
 pub use model::{KernelModel, LinearModel};
-pub use pegasos::{train_pegasos, PegasosConfig};
 pub use platt::PlattScaler;
-pub use scale::StandardScaler;
 pub use smo::{train_smo, train_smo_guarded, SmoConfig};

@@ -1,7 +1,6 @@
-//! Trained models: the primal linear model and the dual (kernel) model.
+//! Trained models: the primal linear model and the dual form SMO returns.
 
 use crate::data::{dot, Dataset};
-use crate::kernel::Kernel;
 use serde::{Deserialize, Serialize};
 
 /// A linear decision function `f(x) = w · x + b`, predicting `sign(f(x))`.
@@ -57,7 +56,7 @@ impl LinearModel {
 
     /// Serialize to JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("LinearModel serializes") // distinct-lint: allow(D002, reason="LinearModel is a flat struct of f64s and strings; serde_json cannot fail on it (no maps with non-string keys)")
+        serde_json::to_string(self).expect("LinearModel serializes") // LinearModel is a flat struct of f64s and strings; serde_json cannot fail on it (no maps with non-string keys)
     }
 
     /// Deserialize from JSON.
@@ -66,11 +65,10 @@ impl LinearModel {
     }
 }
 
-/// A dual-form kernel model: support vectors with their coefficients.
+/// A dual-form linear-kernel model: support vectors with their
+/// coefficients.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelModel {
-    /// Kernel used at training time.
-    pub kernel: Kernel,
     /// Support vectors.
     pub support_vectors: Vec<Vec<f64>>,
     /// `alpha_i * y_i` per support vector.
@@ -80,12 +78,12 @@ pub struct KernelModel {
 }
 
 impl KernelModel {
-    /// Raw decision value `Σ coef_i K(sv_i, x) + b`.
+    /// Raw decision value `Σ coef_i (sv_i · x) + b`.
     pub fn decision(&self, x: &[f64]) -> f64 {
         self.support_vectors
             .iter()
             .zip(&self.coefficients)
-            .map(|(sv, &c)| c * self.kernel.eval(sv, x))
+            .map(|(sv, &c)| c * dot(sv, x))
             .sum::<f64>()
             + self.bias
     }
@@ -113,12 +111,9 @@ impl KernelModel {
         self.support_vectors.len()
     }
 
-    /// For a linear kernel, collapse the dual form into a [`LinearModel`]
-    /// (`w = Σ coef_i · sv_i`). Returns `None` for nonlinear kernels.
-    pub fn to_linear(&self) -> Option<LinearModel> {
-        if !self.kernel.is_linear() {
-            return None;
-        }
+    /// Collapse the dual form into a [`LinearModel`]
+    /// (`w = Σ coef_i · sv_i`).
+    pub fn to_linear(&self) -> LinearModel {
         let dim = self.support_vectors.first().map_or(0, Vec::len);
         let mut w = vec![0.0; dim];
         for (sv, &c) in self.support_vectors.iter().zip(&self.coefficients) {
@@ -126,10 +121,10 @@ impl KernelModel {
                 *wi += c * xi;
             }
         }
-        Some(LinearModel {
+        LinearModel {
             weights: w,
             bias: self.bias,
-        })
+        }
     }
 }
 
@@ -190,12 +185,11 @@ mod tests {
     #[test]
     fn kernel_model_linear_collapse() {
         let km = KernelModel {
-            kernel: Kernel::Linear,
             support_vectors: vec![vec![1.0, 0.0], vec![0.0, 1.0]],
             coefficients: vec![2.0, -1.0],
             bias: 0.25,
         };
-        let lm = km.to_linear().unwrap();
+        let lm = km.to_linear();
         assert_eq!(lm.weights, vec![2.0, -1.0]);
         assert_eq!(lm.bias, 0.25);
         // Decisions agree everywhere.
@@ -206,20 +200,8 @@ mod tests {
     }
 
     #[test]
-    fn nonlinear_does_not_collapse() {
-        let km = KernelModel {
-            kernel: Kernel::Rbf { gamma: 1.0 },
-            support_vectors: vec![vec![1.0]],
-            coefficients: vec![1.0],
-            bias: 0.0,
-        };
-        assert!(km.to_linear().is_none());
-    }
-
-    #[test]
     fn kernel_model_accuracy() {
         let km = KernelModel {
-            kernel: Kernel::Linear,
             support_vectors: vec![vec![1.0]],
             coefficients: vec![1.0],
             bias: -0.5,

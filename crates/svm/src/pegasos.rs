@@ -1,7 +1,7 @@
 //! Pegasos: primal estimated sub-gradient solver for the linear SVM
-//! (Shalev-Shwartz et al.), used as a fast cross-check of the SMO solver —
-//! both optimize the same objective, so their models must agree in sign
-//! structure on well-separated data.
+//! (Shalev-Shwartz et al.), compiled only into the tests as an independent
+//! cross-check of the SMO solver — both optimize the same objective, so
+//! their models must agree in direction on well-separated data.
 
 use crate::data::{Dataset, Result, SvmError};
 use crate::model::LinearModel;
@@ -109,7 +109,6 @@ pub fn train_pegasos(data: &Dataset, cfg: &PegasosConfig) -> Result<LinearModel>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Kernel;
     use crate::smo::{train_smo, SmoConfig};
 
     fn blobs(n_per: usize, seed: u64) -> Dataset {
@@ -147,10 +146,7 @@ mod tests {
     fn agrees_with_smo_in_direction() {
         let d = blobs(40, 2);
         let p = train_pegasos(&d, &PegasosConfig::default()).unwrap();
-        let s = train_smo(&d, Kernel::Linear, &SmoConfig::default())
-            .unwrap()
-            .to_linear()
-            .unwrap();
+        let s = train_smo(&d, &SmoConfig::default()).unwrap().to_linear();
         // Cosine similarity of the weight vectors should be high.
         let dotp = crate::data::dot(&p.weights, &s.weights);
         let cos = dotp / (p.weight_norm() * s.weight_norm());

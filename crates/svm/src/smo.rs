@@ -2,13 +2,12 @@
 //! SVM — the same algorithm family as LIBSVM, hand-rolled.
 //!
 //! Solves
-//! `max_α Σα_i − ½ ΣΣ α_i α_j y_i y_j K(x_i, x_j)` subject to
+//! `max_α Σα_i − ½ ΣΣ α_i α_j y_i y_j (x_i · x_j)` subject to
 //! `0 ≤ α_i ≤ C` and `Σ α_i y_i = 0`, by repeatedly optimizing one pair of
 //! multipliers analytically (the "simplified SMO" variant with randomized
 //! second choice, run to KKT convergence).
 
-use crate::data::{Dataset, Result, SvmError};
-use crate::kernel::Kernel;
+use crate::data::{dot, Dataset, Result, SvmError};
 use crate::model::KernelModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,19 +40,19 @@ impl Default for SmoConfig {
     }
 }
 
-/// Train a kernel SVM with SMO.
+/// Train a linear SVM with SMO.
 ///
 /// ```
-/// use svm::{train_smo, Dataset, Kernel, SmoConfig};
+/// use svm::{train_smo, Dataset, SmoConfig};
 /// let data = Dataset::from_parts(
 ///     vec![vec![2.0], vec![1.5], vec![-2.0], vec![-1.5]],
 ///     vec![1.0, 1.0, -1.0, -1.0],
 /// ).unwrap();
-/// let model = train_smo(&data, Kernel::Linear, &SmoConfig::default()).unwrap();
+/// let model = train_smo(&data, &SmoConfig::default()).unwrap();
 /// assert_eq!(model.accuracy(&data), 1.0);
 /// ```
-pub fn train_smo(data: &Dataset, kernel: Kernel, cfg: &SmoConfig) -> Result<KernelModel> {
-    train_smo_guarded(data, kernel, cfg, &mut |_| true)
+pub fn train_smo(data: &Dataset, cfg: &SmoConfig) -> Result<KernelModel> {
+    train_smo_guarded(data, cfg, &mut |_| true)
 }
 
 /// Like [`train_smo`], but cooperatively interruptible.
@@ -66,7 +65,6 @@ pub fn train_smo(data: &Dataset, kernel: Kernel, cfg: &SmoConfig) -> Result<Kern
 /// caller could not tell.
 pub fn train_smo_guarded(
     data: &Dataset,
-    kernel: Kernel,
     cfg: &SmoConfig,
     guard: &mut dyn FnMut(u64) -> bool,
 ) -> Result<KernelModel> {
@@ -85,7 +83,7 @@ pub fn train_smo_guarded(
     let mut k = vec![0.0f64; n * n];
     for i in 0..n {
         for j in i..n {
-            let v = kernel.eval(data.x(i), data.x(j));
+            let v = dot(data.x(i), data.x(j));
             k[i * n + j] = v;
             k[j * n + i] = v;
         }
@@ -191,7 +189,6 @@ pub fn train_smo_guarded(
         ));
     }
     Ok(KernelModel {
-        kernel,
         support_vectors: svs,
         coefficients: coefs,
         bias: b,
@@ -231,7 +228,7 @@ mod tests {
     #[test]
     fn separable_blobs_reach_full_accuracy() {
         let d = blobs(40, 1);
-        let m = train_smo(&d, Kernel::Linear, &SmoConfig::default()).unwrap();
+        let m = train_smo(&d, &SmoConfig::default()).unwrap();
         assert_eq!(m.accuracy(&d), 1.0);
         // Margin is large, so few support vectors.
         assert!(m.sv_count() < d.len() / 2, "sv_count = {}", m.sv_count());
@@ -240,51 +237,12 @@ mod tests {
     #[test]
     fn linear_collapse_agrees_with_dual() {
         let d = blobs(30, 2);
-        let m = train_smo(&d, Kernel::Linear, &SmoConfig::default()).unwrap();
-        let lm = m.to_linear().unwrap();
+        let m = train_smo(&d, &SmoConfig::default()).unwrap();
+        let lm = m.to_linear();
         for (x, _) in d.iter() {
             assert!((m.decision(x) - lm.decision(x)).abs() < 1e-9);
         }
         assert_eq!(lm.accuracy(&d), 1.0);
-    }
-
-    #[test]
-    fn xor_needs_nonlinear_kernel() {
-        // XOR: not linearly separable.
-        let d = Dataset::from_parts(
-            vec![
-                vec![0.0, 0.0],
-                vec![1.0, 1.0],
-                vec![0.0, 1.0],
-                vec![1.0, 0.0],
-            ],
-            vec![1.0, 1.0, -1.0, -1.0],
-        )
-        .unwrap();
-        let rbf = train_smo(
-            &d,
-            Kernel::Rbf { gamma: 2.0 },
-            &SmoConfig {
-                c: 10.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(rbf.accuracy(&d), 1.0, "RBF kernel must solve XOR");
-        let poly = train_smo(
-            &d,
-            Kernel::Polynomial {
-                degree: 2,
-                gamma: 1.0,
-                coef0: 1.0,
-            },
-            &SmoConfig {
-                c: 10.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(poly.accuracy(&d), 1.0, "quadratic kernel must solve XOR");
     }
 
     #[test]
@@ -300,8 +258,8 @@ mod tests {
             d.push(vec![-1.0 + rng.gen_range(-0.2..0.2), noise], -1.0)
                 .unwrap();
         }
-        let m = train_smo(&d, Kernel::Linear, &SmoConfig::default()).unwrap();
-        let lm = m.to_linear().unwrap();
+        let m = train_smo(&d, &SmoConfig::default()).unwrap();
+        let lm = m.to_linear();
         assert!(
             lm.weights[0] > 5.0 * lm.weights[1].abs(),
             "informative weight should dominate: {:?}",
@@ -320,7 +278,6 @@ mod tests {
         }
         let m = train_smo(
             &d,
-            Kernel::Linear,
             &SmoConfig {
                 c: 0.5,
                 ..Default::default()
@@ -337,7 +294,6 @@ mod tests {
         assert!(matches!(
             train_smo(
                 &d,
-                Kernel::Linear,
                 &SmoConfig {
                     c: 0.0,
                     ..Default::default()
@@ -350,27 +306,24 @@ mod tests {
     #[test]
     fn single_class_rejected() {
         let d = Dataset::from_parts(vec![vec![1.0], vec![2.0]], vec![1.0, 1.0]).unwrap();
-        assert!(train_smo(&d, Kernel::Linear, &SmoConfig::default()).is_err());
+        assert!(train_smo(&d, &SmoConfig::default()).is_err());
     }
 
     #[test]
     fn guarded_training_matches_unguarded_and_interrupts_cleanly() {
         let d = blobs(20, 6);
-        let full = train_smo(&d, Kernel::Linear, &SmoConfig::default()).unwrap();
+        let full = train_smo(&d, &SmoConfig::default()).unwrap();
         let mut charged = 0u64;
-        let guarded = train_smo_guarded(&d, Kernel::Linear, &SmoConfig::default(), &mut |u| {
+        let guarded = train_smo_guarded(&d, &SmoConfig::default(), &mut |u| {
             charged += u;
             true
         })
         .unwrap();
-        assert_eq!(
-            full.to_linear().unwrap().weights,
-            guarded.to_linear().unwrap().weights
-        );
+        assert_eq!(full.to_linear().weights, guarded.to_linear().weights);
         assert!(charged >= d.len() as u64, "at least one pass charged");
         // Guard tripping on the second pass: typed error, pass count = 1.
         let mut passes = 0u32;
-        let err = train_smo_guarded(&d, Kernel::Linear, &SmoConfig::default(), &mut |_| {
+        let err = train_smo_guarded(&d, &SmoConfig::default(), &mut |_| {
             passes += 1;
             passes <= 1
         })
@@ -381,19 +334,16 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let d = blobs(20, 6);
-        let m1 = train_smo(&d, Kernel::Linear, &SmoConfig::default()).unwrap();
-        let m2 = train_smo(&d, Kernel::Linear, &SmoConfig::default()).unwrap();
-        assert_eq!(
-            m1.to_linear().unwrap().weights,
-            m2.to_linear().unwrap().weights
-        );
+        let m1 = train_smo(&d, &SmoConfig::default()).unwrap();
+        let m2 = train_smo(&d, &SmoConfig::default()).unwrap();
+        assert_eq!(m1.to_linear().weights, m2.to_linear().weights);
     }
 
     #[test]
     fn dual_constraint_holds() {
         // Σ α_i y_i = 0 — equivalently Σ coefficients = 0.
         let d = blobs(25, 8);
-        let m = train_smo(&d, Kernel::Linear, &SmoConfig::default()).unwrap();
+        let m = train_smo(&d, &SmoConfig::default()).unwrap();
         let s: f64 = m.coefficients.iter().sum();
         assert!(s.abs() < 1e-9, "Σ α y = {s}");
     }
@@ -404,7 +354,6 @@ mod tests {
         let d = blobs(25, 9);
         let m = train_smo(
             &d,
-            Kernel::Linear,
             &SmoConfig {
                 c,
                 ..Default::default()
@@ -454,7 +403,7 @@ mod tests {
                 c in 0.1f64..5.0,
             ) {
                 let cfg = SmoConfig { c, max_iters: 40, ..Default::default() };
-                let Ok(m) = train_smo(&d, Kernel::Linear, &cfg) else {
+                let Ok(m) = train_smo(&d, &cfg) else {
                     // Degenerate optimizations (no support vectors) are a
                     // legal outcome on adversarial data.
                     return Ok(());

@@ -10,7 +10,7 @@
 //!   pipeline stages (thread-count selection, `DISTINCT_THREADS`);
 //! * [`relstore`] — the in-memory relational database substrate;
 //! * [`relgraph`] — probability propagation and random-walk machinery;
-//! * [`svm`] — the from-scratch SVM library (SMO, Pegasos, Platt, CV);
+//! * [`svm`] — the from-scratch linear SVM (SMO, Platt calibration);
 //! * [`cluster`] — the agglomerative clustering engine and constraints;
 //! * [`datagen`] — the synthetic DBLP-schema world generator;
 //! * [`eval`] — pairwise / B³ / ARI metrics, confusion analysis, tables;
