@@ -5,10 +5,14 @@
 //! relation that assigns every reference a global entity id, splitting
 //! each shared name into as many entities as the linkage evidence
 //! supports. Names are independent (references with different names can
-//! never corefer in this problem setting), so the pass is a per-name
-//! clustering loop with consolidated bookkeeping.
+//! never corefer in this problem setting), so the pass maps the names over
+//! the `exec` pool as work items, each resolved serially, and commits the
+//! results in first-appearance order: the assignment is identical for any
+//! worker count.
 
+use crate::control::RunControl;
 use crate::pipeline::Distinct;
+use crate::request::ResolveRequest;
 use relstore::{FxHashMap, TupleRef, Value};
 use serde::{Deserialize, Serialize};
 
@@ -22,8 +26,8 @@ pub struct DedupeOptions {
     /// Skip names with more references than this (safety valve: pairwise
     /// profile comparison is quadratic per name).
     pub max_refs_per_name: usize,
-    /// Worker threads for the profile-precomputation phase (0 or 1 runs
-    /// serially; results are identical either way).
+    /// Worker threads over names (0 or 1 runs serially); the assignment
+    /// is identical for any count.
     pub threads: usize,
 }
 
@@ -91,82 +95,82 @@ impl EntityAssignment {
         }
         out
     }
-}
 
-impl Distinct {
-    /// Resolve every name in the reference relation, producing a global
-    /// [`EntityAssignment`]. Deterministic: names are processed in the
-    /// order of their first appearance in the relation.
-    pub fn resolve_all(&self, opts: &DedupeOptions) -> EntityAssignment {
-        // Collect references per name in first-appearance order.
-        let rel = self.catalog().relation(self.paths().start);
-        let attr = self.ref_attr_index();
-        let mut order: Vec<Value> = Vec::new();
-        let mut by_name: FxHashMap<Value, Vec<TupleRef>> = FxHashMap::default();
-        // distinct-lint: allow(D104, reason="single grouping scan over the reference relation; per-name budget charging starts in the resolve stage below, which dominates")
-        for (tid, t) in rel.iter() {
-            let v = t.get(attr);
-            if v.is_null() {
-                continue;
-            }
-            let entry = by_name.entry(v.clone()).or_default();
-            if entry.is_empty() {
-                order.push(v.clone());
-            }
-            entry.push(TupleRef::new(self.paths().start, tid));
-        }
-
-        // Warm the profile cache for every reference that will be
-        // clustered, optionally in parallel.
-        if opts.threads > 1 {
-            let clusterable: Vec<TupleRef> = order
-                .iter()
-                .filter(|name| {
-                    let n = by_name[*name].len();
-                    n >= opts.min_refs_to_cluster && n <= opts.max_refs_per_name
-                })
-                .flat_map(|name| by_name[name].iter().copied())
-                .collect();
-            self.precompute_profiles(&clusterable, opts.threads);
-        }
-
+    /// Commit per-name labels (`None` for a skipped name) in the order of
+    /// `by_name`: entity ids, resolutions and skips follow that order alone.
+    fn commit(by_name: &[(Value, Vec<TupleRef>)], labels: Vec<Option<Vec<usize>>>) -> Self {
         let mut assignment = EntityAssignment::default();
-        for name in order {
-            let refs = &by_name[&name];
-            let display = name.to_string();
-            if refs.len() > opts.max_refs_per_name {
-                assignment.skipped.push(display);
+        for ((name, refs), labels) in by_name.iter().zip(labels) {
+            let Some(labels) = labels else {
+                assignment.skipped.push(name.to_string());
                 continue;
-            }
-            if refs.len() < opts.min_refs_to_cluster {
-                let e = assignment.next_entity;
-                assignment.next_entity += 1;
-                for &r in refs {
-                    assignment.entity_of.insert(r, e);
-                }
-                assignment.resolutions.push(NameResolution {
-                    name: display,
-                    refs: refs.len(),
-                    entities: 1,
-                });
-                continue;
-            }
-            let clustering = self
-                .resolve(&crate::request::ResolveRequest::new(refs).threads(opts.threads))
-                .clustering;
-            let k = clustering.cluster_count();
+            };
+            let k = labels.iter().max().map_or(0, |&m| m + 1);
             let base = assignment.next_entity;
             assignment.next_entity += k;
-            for (&r, &label) in refs.iter().zip(&clustering.labels) {
+            for (&r, &label) in refs.iter().zip(&labels) {
                 assignment.entity_of.insert(r, base + label);
             }
             assignment.resolutions.push(NameResolution {
-                name: display,
+                name: name.to_string(),
                 refs: refs.len(),
                 entities: k,
             });
         }
         assignment
+    }
+}
+
+impl Distinct {
+    /// Resolve every name in the reference relation, producing a global
+    /// [`EntityAssignment`]. Deterministic: names are committed in the
+    /// order of their first appearance in the relation, whatever
+    /// `opts.threads` is.
+    pub fn resolve_all(&self, opts: &DedupeOptions) -> EntityAssignment {
+        let by_name = self.refs_by_name();
+        // Names are the work items: each one resolves serially and builds
+        // its own profiles, and no reference belongs to two names, so no
+        // two workers ever compute the same profile. Every resolve charges
+        // one control for the whole pass; it is unlimited and never stops
+        // the map, so `None` only marks a name over `max_refs_per_name`.
+        let ctl = RunControl::new();
+        let executor = exec::Executor::with_threads(opts.threads.max(1));
+        let (labels, _) = executor.par_map_guarded(
+            &by_name,
+            |_, (_, refs)| {
+                if refs.len() > opts.max_refs_per_name {
+                    None
+                } else if refs.len() < opts.min_refs_to_cluster {
+                    Some(vec![0; refs.len()])
+                } else {
+                    let req = ResolveRequest::new(refs).control(&ctl).threads(1);
+                    Some(self.resolve(&req).clustering.labels)
+                }
+            },
+            || ctl.status().is_some(),
+        );
+        EntityAssignment::commit(&by_name, labels)
+    }
+
+    /// The references of every name, grouped by one scan of the reference
+    /// relation, in the order of each name's first appearance.
+    fn refs_by_name(&self) -> Vec<(Value, Vec<TupleRef>)> {
+        let start = self.paths().start;
+        let attr = self.ref_attr_index();
+        let mut index: FxHashMap<Value, usize> = FxHashMap::default();
+        let mut by_name: Vec<(Value, Vec<TupleRef>)> = Vec::new();
+        for (tid, t) in self.catalog().relation(start).iter() {
+            let v = t.get(attr);
+            if v.is_null() {
+                continue;
+            }
+            let i = *index.entry(v.clone()).or_insert_with(|| {
+                by_name.push((v.clone(), Vec::new()));
+                by_name.len() - 1
+            });
+            by_name[i].1.push(TupleRef::new(start, tid));
+        }
+        by_name
     }
 }
 
@@ -267,17 +271,54 @@ mod tests {
         assert_eq!(a.groups(), b.groups());
     }
 
+    /// Everything an assignment says, in order.
+    type Snapshot = (
+        Vec<Option<usize>>,
+        Vec<(String, usize, usize)>,
+        Vec<String>,
+        usize,
+    );
+
+    fn snapshot(a: &EntityAssignment, d: &datagen::DblpDataset) -> Snapshot {
+        let entities = (0..d.catalog.relation(d.publish).len())
+            .map(|i| a.entity(TupleRef::new(d.publish, relstore::TupleId(i as u32))))
+            .collect();
+        let resolutions = a
+            .resolutions
+            .iter()
+            .map(|r| (r.name.clone(), r.refs, r.entities))
+            .collect();
+        (entities, resolutions, a.skipped.clone(), a.entity_count())
+    }
+
     #[test]
-    fn parallel_precompute_matches_serial() {
-        let (engine, _) = engine_and_truth();
-        let serial = engine.resolve_all(&DedupeOptions::default());
-        // A fresh engine with a cold cache, warmed by 4 threads.
-        let (engine2, _) = engine_and_truth();
-        let parallel = engine2.resolve_all(&DedupeOptions {
-            threads: 4,
-            ..Default::default()
-        });
-        assert_eq!(serial.entity_count(), parallel.entity_count());
-        assert_eq!(serial.groups(), parallel.groups());
+    fn resolve_all_is_thread_count_independent() {
+        // `max_refs_per_name: 3` skips every name with more than three
+        // references, so skips interleave with resolved and trivial names.
+        for max_refs_per_name in [DedupeOptions::default().max_refs_per_name, 3] {
+            let run = |threads: usize| {
+                // A fresh engine each time: every run starts cold.
+                let (engine, d) = engine_and_truth();
+                let opts = DedupeOptions {
+                    max_refs_per_name,
+                    threads,
+                    ..Default::default()
+                };
+                snapshot(&engine.resolve_all(&opts), &d)
+            };
+            let serial = run(1);
+            assert!(serial.1.iter().any(|r| r.2 > 1), "no name was split");
+            if max_refs_per_name == 3 {
+                assert!(!serial.2.is_empty(), "no name was skipped");
+                assert!(serial.1.iter().any(|r| r.1 >= 2), "no name was clustered");
+            }
+            for threads in [2, 4, 8] {
+                assert_eq!(
+                    run(threads),
+                    serial,
+                    "{threads} threads, max {max_refs_per_name}"
+                );
+            }
+        }
     }
 }

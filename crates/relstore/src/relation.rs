@@ -63,7 +63,8 @@ impl Relation {
                 got: tuple.arity(),
             });
         }
-        // distinct-lint: allow(D104, reason="validation loop bounded by the schema arity (a handful of attributes per tuple); callers charge per tuple")
+        // Validation loop bounded by the schema arity (a handful of
+        // attributes per tuple); callers charge per tuple.
         for (i, attr) in self.schema.attributes.iter().enumerate() {
             let v = tuple.get(i);
             if !v.matches(attr.ty) {

@@ -93,12 +93,14 @@ pub fn train_smo_guarded(
     let mut alpha = vec![0.0f64; n];
     let mut b = 0.0f64;
 
-    // f(x_m) − y_m under the current multipliers.
+    // f(x_m) − y_m under the current multipliers. `k` is symmetric, so
+    // row m holds column m's values and is read contiguously.
     let err = |alpha: &[f64], b: f64, m: usize| -> f64 {
+        let row = &k[m * n..(m + 1) * n];
         let mut f = b;
         for i in 0..n {
             if alpha[i] > 0.0 {
-                f += alpha[i] * data.y(i) * kij(i, m);
+                f += alpha[i] * data.y(i) * row[i];
             }
         }
         f - data.y(m)
@@ -337,6 +339,41 @@ mod tests {
         let m1 = train_smo(&d, &SmoConfig::default()).unwrap();
         let m2 = train_smo(&d, &SmoConfig::default()).unwrap();
         assert_eq!(m1.to_linear().weights, m2.to_linear().weights);
+    }
+
+    #[test]
+    fn learned_hyperplane_bits_are_pinned() {
+        // Overlapping 3-D classes, large enough that the solver runs tens
+        // of passes: any change to the order or the values of the kernel
+        // sums shows up in the low bits of the learned hyperplane.
+        let mut rng = StdRng::seed_from_u64(2007);
+        let mut d = Dataset::new();
+        for _ in 0..120 {
+            let pos = (0..3).map(|_| 0.4 + rng.gen_range(-1.0..1.0)).collect();
+            d.push(pos, 1.0).unwrap();
+            let neg = (0..3).map(|_| -0.4 + rng.gen_range(-1.0..1.0)).collect();
+            d.push(neg, -1.0).unwrap();
+        }
+        let mut passes = 0usize;
+        let m = train_smo_guarded(&d, &SmoConfig::default(), &mut |_| {
+            passes += 1;
+            true
+        })
+        .unwrap();
+        assert!(passes >= 20, "only {passes} passes");
+        // Recorded when the solver still read kernel columns; rows hold
+        // the same values, summed in the same order, so no bit may move.
+        let lm = m.to_linear();
+        assert_eq!(lm.bias.to_bits(), 0x3fc2_a1dc_2307_bbdb);
+        let bits: Vec<u64> = lm.weights.iter().map(|w| w.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x3ff6_8212_0ad4_c70c,
+                0x3ff3_1b35_1c56_99f0,
+                0x3fef_f2d7_61a8_7a91
+            ]
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 
 use datagen::{to_catalog, AmbiguousSpec, World, WorldConfig};
 use distinct::{
-    Distinct, DistinctConfig, ResolveRequest, RunControl, Stage, TrainRequest, TrainingConfig,
+    DedupeOptions, Distinct, DistinctConfig, ResolveRequest, RunControl, Stage, TrainRequest,
+    TrainingConfig,
 };
 
 fn dataset() -> datagen::DblpDataset {
@@ -41,6 +42,14 @@ fn training_and_resolution_are_identical_at_1_2_and_8_threads() {
     let refs = reference.references_of("Wei Wang");
     let ref_outcome = reference.resolve(&ResolveRequest::new(&refs).threads(1));
     assert!(ref_outcome.is_complete());
+    let all = |e: &Distinct, threads: usize| {
+        e.resolve_all(&DedupeOptions {
+            threads,
+            ..Default::default()
+        })
+    };
+    let ref_all = all(&reference, 1);
+    assert!(ref_all.skipped.is_empty());
 
     for threads in [2, 8] {
         let mut e = engine(&d);
@@ -77,6 +86,14 @@ fn training_and_resolution_are_identical_at_1_2_and_8_threads() {
             outcome.exec.clustering.tasks,
             ref_outcome.exec.clustering.tasks
         );
+
+        let whole = all(&e, threads);
+        assert_eq!(
+            whole.groups(),
+            ref_all.groups(),
+            "resolve_all differs at {threads} threads"
+        );
+        assert_eq!(whole.entity_count(), ref_all.entity_count());
     }
 }
 
