@@ -1,37 +1,34 @@
-//! Criterion bench: random-walk probability combination between reference
-//! propagations (§2.4).
+//! Criterion bench: the directed random-walk probability between two
+//! references' sorted forward and backward sets (§2.4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use relgraph::{walk_probability, NodeId, Propagation};
-use relstore::FxHashMap;
+use relgraph::{directed_walk, NodeId, WeightedSet};
 use std::hint::black_box;
 
-fn make_prop(start: u32, len: u32) -> Propagation {
-    let mut fwd: FxHashMap<NodeId, f64> = FxHashMap::default();
-    let mut bwd: FxHashMap<NodeId, f64> = FxHashMap::default();
-    for n in start..start + len {
-        let w = 1.0 / (n - start + 1) as f64;
-        fwd.insert(NodeId(n), w);
-        bwd.insert(NodeId(n), w * 0.5);
-    }
-    Propagation {
-        forward: fwd,
-        backward: bwd,
-    }
+/// One reference's `(forward, backward)` sets over nodes `start..start + len`.
+fn make_sets(start: u32, len: u32) -> (WeightedSet, WeightedSet) {
+    let weight = |n: u32| 1.0 / (n - start + 1) as f64;
+    let fwd = (start..start + len)
+        .map(|n| (NodeId(n), weight(n)))
+        .collect();
+    let bwd = (start..start + len)
+        .map(|n| (NodeId(n), weight(n) * 0.5))
+        .collect();
+    (fwd, bwd)
 }
 
 fn bench_walk(c: &mut Criterion) {
-    let mut group = c.benchmark_group("walk_probability");
+    let mut group = c.benchmark_group("directed_walk");
     for &n in &[10u32, 100, 1000] {
-        let a = make_prop(0, n);
-        let b = make_prop(n / 2, n);
+        let a = make_sets(0, n);
+        let b = make_sets(n / 2, n);
         group.bench_with_input(BenchmarkId::new("half_overlap", n), &n, |bench, _| {
-            bench.iter(|| black_box(walk_probability(black_box(&a), black_box(&b))))
+            bench.iter(|| black_box(directed_walk(black_box(&a.0), black_box(&b.1))))
         });
-        // Asymmetric supports exercise the smaller-side iteration choice.
-        let small = make_prop(0, 8);
+        // Unequal supports: the merge-join's cost follows both lengths.
+        let small = make_sets(0, 8);
         group.bench_with_input(BenchmarkId::new("small_vs_large", n), &n, |bench, _| {
-            bench.iter(|| black_box(walk_probability(black_box(&small), black_box(&b))))
+            bench.iter(|| black_box(directed_walk(black_box(&small.0), black_box(&b.1))))
         });
     }
     group.finish();

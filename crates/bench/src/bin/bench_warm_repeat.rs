@@ -2,11 +2,11 @@
 //!
 //! The rung behind DESIGN.md §18: one engine resolves every Table 1
 //! ambiguous name twice. The first pass is cold — profiles are computed
-//! on demand and the engine's `ArenaPool` mints its pooled `SetArena`s
-//! as the similarity stages first need them. The second pass replays the
-//! same names against the warm engine: profiles come from the cache and
-//! every similarity stage rebuilds a recycled arena in place instead of
-//! allocating a fresh one per call.
+//! on demand and land in the engine's profile cache. The second pass
+//! replays the same names against the warm engine: profiles come from the
+//! cache, and every similarity stage builds its per-path inverted index
+//! (DESIGN.md §15) afresh, as the cold pass did, so the delta between the
+//! passes is what the profile cache saves.
 //!
 //! The rung records the wall-time and allocation delta between the two
 //! passes (`allocs` / `bytes_alloc` come from the counting allocator
@@ -138,8 +138,8 @@ fn main() -> Result<(), BenchError> {
     let (warm_labels, warm_ms, warm_alloc) = pass(&engine, &names)?;
     assert_eq!(
         warm_labels, cold_labels,
-        "a warm repeat resolve diverged from the cold pass — arena or \
-         cache reuse leaked into the tables"
+        "a warm repeat resolve diverged from the cold pass — cache \
+         reuse leaked into the tables"
     );
 
     let metered = distinct_bench::metering_enabled();

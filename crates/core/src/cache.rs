@@ -94,8 +94,8 @@ mod tests {
             r,
             Arc::new(Profile {
                 reference: r,
-                props: Vec::new(),
                 sets: Vec::new(),
+                back: Vec::new(),
                 placeholder,
             }),
         )

@@ -1,8 +1,8 @@
 //! Reference profiles and per-path pairwise features.
 //!
-//! A reference's *profile* is one probability propagation per join path:
-//! its weighted neighbor-tuple sets (`Prob_P(r → t)`) together with the
-//! return probabilities (`Prob_P(t → r)`). All pairwise quantities DISTINCT
+//! A reference's *profile* is one probability propagation per join path,
+//! kept as two sorted weighted sets: its neighbor tuples (`Prob_P(r → t)`)
+//! and the return probabilities (`Prob_P(t → r)`). All pairwise quantities DISTINCT
 //! needs — per-path set resemblance (Definition 2) and per-path random
 //! walk probability (§2.4) — are computed from two profiles without
 //! touching the database again.
@@ -12,8 +12,9 @@
 //! definition, so it carries no distinguishing signal but would otherwise
 //! contribute a large constant resemblance along the coauthor path.
 
+use crate::learn::PathWeights;
 use crate::paths::PathSet;
-use relgraph::{directed_walk, LinkGraph, Propagation, Resemblance, WeightedSet};
+use relgraph::{directed_walk, LinkGraph, WeightedSet};
 use relstore::{Catalog, TupleRef};
 
 /// Per-path propagation results for one reference.
@@ -21,10 +22,11 @@ use relstore::{Catalog, TupleRef};
 pub struct Profile {
     /// The reference this profile describes.
     pub reference: TupleRef,
-    /// One propagation per path (order matches the [`PathSet`]).
-    pub props: Vec<Propagation>,
-    /// Forward maps as weighted sets, for resemblance computation.
+    /// Per path (order matches the [`PathSet`]): the forward set
+    /// `Prob_P(r → t)`, for resemblance and outgoing walks.
     pub sets: Vec<WeightedSet>,
+    /// Per path: the backward set `Prob_P(t → r)`, for incoming walks.
+    pub back: Vec<WeightedSet>,
     /// True for zero-mass placeholders fabricated when a control limit cut
     /// profiling short (see [`empty_profile`]). Placeholders must never
     /// enter the profile cache: a later, unrestricted run has to recompute
@@ -35,12 +37,12 @@ pub struct Profile {
 impl Profile {
     /// Number of paths profiled.
     pub fn path_count(&self) -> usize {
-        self.props.len()
+        self.sets.len()
     }
 
     /// Total neighbor tuples across all paths (diagnostics).
     pub fn neighbor_total(&self) -> usize {
-        self.props.iter().map(Propagation::neighbor_count).sum()
+        self.sets.iter().map(WeightedSet::len).sum()
     }
 }
 
@@ -75,18 +77,19 @@ pub fn build_profile_guarded(
         .map(|t| graph.node(t))
         .into_iter()
         .collect();
-    let mut props = Vec::with_capacity(paths.paths.len());
     let mut sets = Vec::with_capacity(paths.paths.len());
+    let mut back = Vec::with_capacity(paths.paths.len());
     for path in &paths.paths {
         let prop =
             relgraph::propagate_blocked_guarded(graph, catalog, path, reference, &blocked, guard)?;
-        sets.push(WeightedSet::from_map(prop.forward.clone()));
-        props.push(prop);
+        let (forward, backward) = prop.into_sets();
+        sets.push(forward);
+        back.push(backward);
     }
     Some(Profile {
         reference,
-        props,
         sets,
+        back,
         placeholder: false,
     })
 }
@@ -99,39 +102,31 @@ pub fn empty_profile(paths: &PathSet, reference: TupleRef) -> Profile {
     let n = paths.len();
     Profile {
         reference,
-        props: vec![Propagation::default(); n],
-        sets: vec![WeightedSet::from_map(Default::default()); n],
+        sets: vec![WeightedSet::new(); n],
+        back: vec![WeightedSet::new(); n],
         placeholder: true,
     }
 }
 
 /// Per-path set resemblance between two profiles (Definition 2), via the
-/// exact kernel — the canonical reference the pruned engine must match
-/// bit for bit.
+/// exact kernel — the canonical reference the indexed similarity pass
+/// must match bit for bit.
 pub fn resemblance_features(a: &Profile, b: &Profile) -> Vec<f64> {
-    resemblance_features_with(&Resemblance::Exact, a, b)
-}
-
-/// Per-path set resemblance under an explicit [`Resemblance`] kernel.
-/// Every kernel computes the same function (losslessness contract), so
-/// this exists for pair-at-a-time callers that want the sketch pre-check;
-/// the similarity stage batches the pruned path through arenas instead.
-pub fn resemblance_features_with(kernel: &Resemblance, a: &Profile, b: &Profile) -> Vec<f64> {
     debug_assert_eq!(a.path_count(), b.path_count());
     a.sets
         .iter()
         .zip(&b.sets)
-        .map(|(x, y)| kernel.weighted(x, y))
+        .map(|(x, y)| x.resemblance(y))
         .collect()
 }
 
 /// Per-path symmetrized random walk probability between two profiles.
 pub fn walk_features(a: &Profile, b: &Profile) -> Vec<f64> {
     debug_assert_eq!(a.path_count(), b.path_count());
-    a.props
-        .iter()
-        .zip(&b.props)
-        .map(|(x, y)| 0.5 * (directed_walk(x, y) + directed_walk(y, x)))
+    (0..a.path_count())
+        .map(|p| {
+            0.5 * (directed_walk(&a.sets[p], &b.back[p]) + directed_walk(&b.sets[p], &a.back[p]))
+        })
         .collect()
 }
 
@@ -139,17 +134,35 @@ pub fn walk_features(a: &Profile, b: &Profile) -> Vec<f64> {
 /// cluster measure, which is directional before symmetrization).
 pub fn directed_walk_features(a: &Profile, b: &Profile) -> Vec<f64> {
     debug_assert_eq!(a.path_count(), b.path_count());
-    a.props
+    a.sets
         .iter()
-        .zip(&b.props)
+        .zip(&b.back)
         .map(|(x, y)| directed_walk(x, y))
         .collect()
 }
 
-/// Weighted sum of a feature vector: `Σ w_i · f_i`.
+/// Weighted sum of a feature vector: `Σ w_i · f_i`, folded in index
+/// order from `-0.0` (how `Iterator::sum` folds `f64`).
 pub fn weighted_sum(features: &[f64], weights: &[f64]) -> f64 {
     debug_assert_eq!(features.len(), weights.len());
     features.iter().zip(weights).map(|(f, w)| f * w).sum()
+}
+
+/// The weighted similarity of one reference pair: `(resemblance, walk
+/// a → b, walk b → a)`, each `Σ_p feature_p · weight_p`. Folds the three
+/// sums in path order from `-0.0` without building feature vectors, so
+/// the values are bit-identical to [`weighted_sum`] over
+/// [`resemblance_features`] and [`directed_walk_features`].
+// O(paths · set size) per-pair leaf; callers charge the budget per pair
+pub fn weighted_pair(a: &Profile, b: &Profile, weights: &PathWeights) -> (f64, f64, f64) {
+    debug_assert_eq!(a.path_count(), b.path_count());
+    let (mut r, mut ab, mut ba) = (-0.0, -0.0, -0.0);
+    for p in 0..a.path_count() {
+        r += a.sets[p].resemblance(&b.sets[p]) * weights.resem[p];
+        ab += directed_walk(&a.sets[p], &b.back[p]) * weights.walk[p];
+        ba += directed_walk(&b.sets[p], &a.back[p]) * weights.walk[p];
+    }
+    (r, ab, ba)
 }
 
 #[cfg(test)]
@@ -197,9 +210,9 @@ mod tests {
         let own = f.catalog.follow_forward(f.paths.ref_fk, r).unwrap();
         let own_node = f.graph.node(own);
         let p = build_profile(&f.graph, &f.catalog, &f.paths, r);
-        for prop in &p.props {
-            assert!(!prop.forward.contains_key(&own_node));
-            assert!(!prop.backward.contains_key(&own_node));
+        for (fwd, bwd) in p.sets.iter().zip(&p.back) {
+            assert_eq!(fwd.weight(own_node), 0.0);
+            assert_eq!(bwd.weight(own_node), 0.0);
         }
     }
 
@@ -281,16 +294,46 @@ mod tests {
     }
 
     #[test]
-    fn kernel_selection_is_invisible_in_the_features() {
+    fn weighted_pair_matches_the_feature_vectors_bit_for_bit() {
         let f = fixture();
-        let a = build_profile(&f.graph, &f.catalog, &f.paths, f.truth_refs[0]);
-        let b = build_profile(&f.graph, &f.catalog, &f.paths, f.truth_refs[3]);
-        let exact = resemblance_features_with(&Resemblance::Exact, &a, &b);
-        let pruned = resemblance_features_with(&Resemblance::default(), &a, &b);
-        assert_eq!(exact, resemblance_features(&a, &b));
-        for (x, y) in exact.iter().zip(&pruned) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        let profiles: Vec<Profile> = f
+            .truth_refs
+            .iter()
+            .map(|&r| build_profile(&f.graph, &f.catalog, &f.paths, r))
+            .collect();
+        let n_paths = f.paths.len();
+        // Mixed-sign weights with an exact zero exercise the zero signs.
+        let weights = PathWeights {
+            resem: (0..n_paths).map(|p| p as f64 * 0.37 - 1.0).collect(),
+            walk: (0..n_paths)
+                .map(|p| if p == 1 { 0.0 } else { 0.8 - p as f64 * 0.11 })
+                .collect(),
+        };
+        for a in &profiles {
+            for b in &profiles {
+                let (r, ab, ba) = weighted_pair(a, b, &weights);
+                let want_r = weighted_sum(&resemblance_features(a, b), &weights.resem);
+                let want_ab = weighted_sum(&directed_walk_features(a, b), &weights.walk);
+                let want_ba = weighted_sum(&directed_walk_features(b, a), &weights.walk);
+                assert_eq!(r.to_bits(), want_r.to_bits());
+                assert_eq!(ab.to_bits(), want_ab.to_bits());
+                assert_eq!(ba.to_bits(), want_ba.to_bits());
+            }
         }
+        let empty = empty_profile(&f.paths, f.truth_refs[0]);
+        let (r, ab, ba) = weighted_pair(&empty, &profiles[0], &weights);
+        assert_eq!(
+            r.to_bits(),
+            weighted_sum(&resemblance_features(&empty, &profiles[0]), &weights.resem).to_bits()
+        );
+        assert_eq!(
+            ab.to_bits(),
+            weighted_sum(&directed_walk_features(&empty, &profiles[0]), &weights.walk).to_bits()
+        );
+        assert_eq!(
+            ba.to_bits(),
+            weighted_sum(&directed_walk_features(&profiles[0], &empty), &weights.walk).to_bits()
+        );
     }
 
     #[test]

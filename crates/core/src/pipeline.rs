@@ -233,12 +233,6 @@ pub struct Distinct {
     /// [`ResolveRequest::incremental`] requests read or write it.
     // distinct-lint: shared(exclusive takeout: an entry leaves the map before pool fanout and returns after the ordered commit, so no guard spans a boundary)
     pub(crate) names: parking_lot::Mutex<crate::update::NameCache>,
-    /// Recycled [`relgraph::SetArena`]s for the pruned similarity
-    /// kernel: each similarity stage takes one arena per join path,
-    /// rebuilds it in place, and parks it back here, so repeat resolves
-    /// (any name — arenas carry capacity, not content) skip the cold
-    /// column growth. Interior locking because `resolve` is `&self`.
-    pub(crate) arena_pool: relgraph::ArenaPool,
     /// Reusable phase-2 exclusion sweeper for [`Distinct::apply_updates`]
     /// (which is `&mut self`, so no lock): each batch recompiles it over
     /// its own neighborhood, reusing the previous batch's buffers.
@@ -303,8 +297,6 @@ impl Distinct {
             weights_epoch: 0,
             // distinct-lint: scratch(per-name takeout: incremental resolves remove a name's entry, repair it unlocked, and reinsert; weight-epoch bumps and update batches invalidate entries)
             names: parking_lot::Mutex::new(crate::update::NameCache::default()),
-            // distinct-lint: scratch(engine-owned free list: similarity stages take arenas at start, rebuild them in place, and park them back for the next resolve of any name)
-            arena_pool: relgraph::ArenaPool::new(),
             // distinct-lint: scratch(rebuilt per update batch: apply_updates recompiles the phase-1 neighborhood into the same adjacency/index/stamp buffers, clearing content but keeping capacity)
             sweep_scratch: crate::update::ExclusionSweeper::empty(),
         })
@@ -821,7 +813,7 @@ impl Distinct {
         exec::ParStats,
         crate::refcluster::PairCounters,
     ) {
-        DistinctMerger::from_profiles_pooled(
+        DistinctMerger::from_profiles_exec(
             profiles,
             &self.weights,
             self.config.measure,
@@ -829,7 +821,6 @@ impl Distinct {
             kernel,
             executor,
             guard,
-            &self.arena_pool,
         )
     }
 

@@ -14,11 +14,10 @@
 //! recomputation.
 
 use crate::config::{CompositeMode, MeasureMode};
-use crate::features::{directed_walk_features, resemblance_features, weighted_sum, Profile};
+use crate::features::{weighted_pair, Profile};
 use crate::learn::PathWeights;
 use cluster::Merger;
-use relgraph::{ArenaPool, Resemblance, SetArena};
-use relstore::FxHashMap;
+use relgraph::{NodeId, Resemblance, WeightedSet};
 use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,74 +27,240 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// One *unit* is one (unordered reference pair, join path) evaluation,
 /// covering that pair's set resemblance and both directed walks along the
 /// path — so `total = pairs × paths`. A unit is **pruned** when the
-/// engine proved all three kernel values exactly zero without running a
-/// merge-join for the pair, **cached** when its values were copied from a
-/// previous build's tables (incremental resolution), and **exact**
-/// otherwise (at least one kernel evaluated, possibly reused from a
-/// content-identical row pair). `pruned + exact + cached == total` holds
-/// by construction; `cached` is zero for every cold matrix build.
+/// pair's sets share no node along the path, so the indexed pass never
+/// touched it (all three values are the exact kernels' zeros), **cached**
+/// when its values were copied from a previous build's tables
+/// (incremental resolution), and **exact** otherwise. `pruned + exact +
+/// cached == total` holds by construction; `cached` is zero for every cold
+/// matrix build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PairCounters {
     /// Kernel units scheduled (`pairs × paths`).
     pub total: u64,
-    /// Units skipped under a provably-exactly-zero certificate.
+    /// Units whose sets share no node (never evaluated).
     pub pruned: u64,
-    /// Units that ran (or reused) at least one exact kernel.
+    /// Units with at least one shared node (evaluated).
     pub exact: u64,
     /// Units copied from cached tables of a previous build.
     pub cached: u64,
-    /// Distinct neighbor-set rows interned into [`SetArena`]s during the
-    /// build (0 under [`Resemblance::Exact`] and on table-cache hits).
+    /// Neighbor sets (forward and backward, per reference and path) the
+    /// indexed pass indexed (0 under [`Resemblance::Exact`] and on
+    /// table-cache hits).
     pub interned: u64,
 }
 
-/// One assembly chunk's `(resemblance, walk i→j, walk j→i)` triples plus
-/// the exact kernel units the chunk consumed.
+/// One row chunk's upper-triangle cells `(resemblance, walk i→j, walk
+/// j→i)` in row-major order, plus the exact kernel units they took.
 type ChunkValues = (Vec<(f64, f64, f64)>, u64);
 
-/// Per-path kernel memos of the pruned similarity build: interned row
-/// assignments plus the *nonzero* kernel values, computed once per
-/// distinct row pair. A missing memo entry is a proof that the kernel
-/// value is exactly zero.
-struct PathKernels {
-    /// Distinct forward-set row of each reference.
-    row_f: Vec<u32>,
-    /// Distinct backward-set row of each reference.
-    row_b: Vec<u32>,
-    /// Per distinct row: is the row empty? (Decides the zero's sign for
-    /// walk misses: `directed_walk`'s `Sum` folds from `-0.0`, which only
-    /// survives when the iterated support is empty.)
-    row_empty: Vec<bool>,
-    /// Resemblance per normalized `(min, max)` forward-row pair.
-    resem: FxHashMap<(u32, u32), f64>,
-    /// Walk dot product per normalized `(min, max)` row pair (the dot is
-    /// symmetric in its rows, so one entry serves both directions).
-    dot: FxHashMap<(u32, u32), f64>,
-    /// Distinct rows interned into this path's arena (accounting).
-    interned: u64,
+/// One direction (forward or backward) of every reference's sets along
+/// one join path, inverted: per node of the path's dictionary, the
+/// references whose set holds it, ascending, with their weights.
+struct Postings {
+    /// Node slot `s`'s postings are `refs[heads[s]..heads[s + 1]]`, with
+    /// weights at the same positions of `weights`.
+    heads: Vec<u32>,
+    refs: Vec<u32>,
+    weights: Vec<f64>,
 }
 
-impl PathKernels {
-    fn resem_at(&self, i: usize, j: usize) -> Option<f64> {
-        let (a, b) = (self.row_f[i], self.row_f[j]);
-        self.resem.get(&(a.min(b), a.max(b))).copied()
-    }
-
-    /// Walk dot `i → j` (forward row of `i` against backward row of `j`).
-    fn dot_at(&self, i: usize, j: usize) -> Option<f64> {
-        let (a, b) = (self.row_f[i], self.row_b[j]);
-        self.dot.get(&(a.min(b), a.max(b))).copied()
-    }
-
-    /// The exact kernel's zero for a pruned `i → j` walk: `-0.0` when
-    /// either side's support is empty, `+0.0` when both are non-empty but
-    /// provably disjoint — bit-identical to what `directed_walk` returns.
-    fn zero_walk(&self, i: usize, j: usize) -> f64 {
-        if self.row_empty[self.row_f[i] as usize] || self.row_empty[self.row_b[j] as usize] {
-            -0.0
-        } else {
-            0.0
+impl Postings {
+    /// Invert `sets` (one per reference) over the sorted node dictionary
+    /// `nodes`, which holds every member of every set.
+    fn build<'a>(sets: impl Iterator<Item = &'a WeightedSet> + Clone, nodes: &[NodeId]) -> Self {
+        let slot = |t: NodeId| nodes.partition_point(|&x| x < t);
+        let mut heads = vec![0u32; nodes.len() + 1];
+        for set in sets.clone() {
+            for (t, _) in set.iter() {
+                heads[slot(t) + 1] += 1;
+            }
         }
+        for s in 0..nodes.len() {
+            heads[s + 1] += heads[s];
+        }
+        // Filling in reference order leaves each node's postings sorted
+        // by reference.
+        let mut fill = heads.clone();
+        let len = heads[nodes.len()] as usize;
+        let mut refs = vec![0u32; len];
+        let mut weights = vec![0.0; len];
+        for (i, set) in sets.enumerate() {
+            for (t, w) in set.iter() {
+                let at = &mut fill[slot(t)];
+                refs[*at as usize] = i as u32;
+                weights[*at as usize] = w;
+                *at += 1;
+            }
+        }
+        Postings {
+            heads,
+            refs,
+            weights,
+        }
+    }
+
+    /// The postings of node slot `s` from references after `i`:
+    /// `(refs, weights)`.
+    fn after(&self, s: usize, i: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.heads[s] as usize, self.heads[s + 1] as usize);
+        let start = lo + self.refs[lo..hi].partition_point(|&j| j as usize <= i);
+        (&self.refs[start..hi], &self.weights[start..hi])
+    }
+}
+
+/// One join path's inverted index over a name's profiles.
+struct PathIndex {
+    /// Every node of every forward and backward set along the path,
+    /// ascending: a node's position is its slot in the postings.
+    nodes: Vec<NodeId>,
+    fwd: Postings,
+    bwd: Postings,
+    /// Forward-set total per reference (the resemblance denominator).
+    totals: Vec<f64>,
+}
+
+impl PathIndex {
+    fn build<P: Borrow<Profile>>(profiles: &[P], p: usize) -> Self {
+        let mut nodes: Vec<NodeId> = profiles
+            .iter()
+            .flat_map(|x| {
+                let x = x.borrow();
+                x.sets[p].iter().chain(x.back[p].iter()).map(|(t, _)| t)
+            })
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.shrink_to_fit();
+        let fwd = Postings::build(profiles.iter().map(|x| &x.borrow().sets[p]), &nodes);
+        let bwd = Postings::build(profiles.iter().map(|x| &x.borrow().back[p]), &nodes);
+        PathIndex {
+            nodes,
+            fwd,
+            bwd,
+            totals: profiles
+                .iter()
+                .map(|x| x.borrow().sets[p].total())
+                .collect(),
+        }
+    }
+
+    /// `set`'s members as `(slot, weight)`, in ascending node order. The
+    /// members ascend, so each search resumes where the last one ended.
+    fn slots<'a>(&'a self, set: &'a WeightedSet) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let mut lo = 0;
+        set.iter().map(move |(t, w)| {
+            lo += self.nodes[lo..].partition_point(|&x| x < t);
+            (lo, w)
+        })
+    }
+}
+
+/// Per-column accumulators of the indexed pass, reused for every row and
+/// path of a chunk: zero outside the row being filled.
+struct RowScratch {
+    /// Σ min(wᵢ, wⱼ) over shared forward nodes.
+    num: Vec<f64>,
+    /// Σ fwdᵢ·bwdⱼ (walk i → j).
+    out: Vec<f64>,
+    /// Σ fwdⱼ·bwdᵢ (walk j → i).
+    back: Vec<f64>,
+    /// Whether the (pair, path) unit shared any node.
+    hit: Vec<bool>,
+}
+
+impl RowScratch {
+    fn new(n: usize) -> Self {
+        RowScratch {
+            num: vec![0.0; n],
+            out: vec![0.0; n],
+            back: vec![0.0; n],
+            hit: vec![false; n],
+        }
+    }
+
+    /// Append row `i`'s upper-triangle cells (`j > i`) to `cells` and
+    /// return the exact units they took.
+    ///
+    /// Per path, the walks over `i`'s members visit nodes in ascending
+    /// order, so every `(i, j)` sum accumulates its terms in the order of
+    /// the merge-join kernels ([`WeightedSet::resemblance`],
+    /// [`relgraph::directed_walk`]); the path values then fold into the
+    /// cells in path order from `-0.0`, as [`weighted_pair`] does. A unit
+    /// no posting reached gets the kernels' zeros: `+0.0` resemblance, and
+    /// a walk of `-0.0` when a side is empty, `+0.0` otherwise. So every
+    /// cell carries the bits of the exact build, zero signs included.
+    // O(row postings + paths · n) per row; the chunk charged the guard for its pairs
+    fn fill_row<P: Borrow<Profile>>(
+        &mut self,
+        profiles: &[P],
+        indexes: &[PathIndex],
+        weights: &PathWeights,
+        i: usize,
+        cells: &mut Vec<(f64, f64, f64)>,
+    ) -> u64 {
+        let n = self.num.len();
+        let base = cells.len();
+        cells.resize(base + (n - i - 1), (-0.0, -0.0, -0.0));
+        let row = &mut cells[base..];
+        let pi = profiles[i].borrow();
+        let mut exact = 0u64;
+        for (p, ix) in indexes.iter().enumerate() {
+            for (slot, w) in ix.slots(&pi.sets[p]) {
+                let (js, ws) = ix.fwd.after(slot, i);
+                for (&j, &wj) in js.iter().zip(ws) {
+                    self.num[j as usize] += w.min(wj);
+                    self.hit[j as usize] = true;
+                }
+                let (js, bs) = ix.bwd.after(slot, i);
+                for (&j, &bj) in js.iter().zip(bs) {
+                    self.out[j as usize] += w * bj;
+                    self.hit[j as usize] = true;
+                }
+            }
+            for (slot, b) in ix.slots(&pi.back[p]) {
+                let (js, fs) = ix.fwd.after(slot, i);
+                for (&j, &fj) in js.iter().zip(fs) {
+                    self.back[j as usize] += fj * b;
+                    self.hit[j as usize] = true;
+                }
+            }
+            let (wr, ww) = (weights.resem[p], weights.walk[p]);
+            let (fwd_i_empty, bwd_i_empty) = (pi.sets[p].is_empty(), pi.back[p].is_empty());
+            for (cell, j) in row.iter_mut().zip(i + 1..n) {
+                let pj = profiles[j].borrow();
+                let num = std::mem::take(&mut self.num[j]);
+                let out = std::mem::take(&mut self.out[j]);
+                let back = std::mem::take(&mut self.back[j]);
+                // `num > 0` exactly when the forward sets share a node.
+                let r = if num > 0.0 {
+                    let den = ix.totals[i] + ix.totals[j] - num;
+                    if den <= 0.0 {
+                        0.0
+                    } else {
+                        num / den
+                    }
+                } else {
+                    0.0
+                };
+                let out = if fwd_i_empty || pj.back[p].is_empty() {
+                    -0.0
+                } else {
+                    out
+                };
+                let back = if bwd_i_empty || pj.sets[p].is_empty() {
+                    -0.0
+                } else {
+                    back
+                };
+                cell.0 += r * wr;
+                cell.1 += out * ww;
+                cell.2 += back * ww;
+                if std::mem::take(&mut self.hit[j]) {
+                    exact += 1;
+                }
+            }
+        }
+        exact
     }
 }
 
@@ -140,29 +305,26 @@ impl DistinctMerger {
 
     /// Like [`DistinctMerger::from_profiles`], but computes the O(n²)
     /// pairwise feature tables **in parallel** — this is the
-    /// similarity-matrix hot path of resolution. The resulting tables are
-    /// bit-identical for any thread count *and any kernel*:
+    /// similarity-matrix hot path of resolution. Rows of the upper
+    /// triangle fan out in chunks and commit in row order, and the tables
+    /// are bit-identical for any thread count *and either kernel*:
     ///
-    /// * [`Resemblance::Exact`] fans the flat upper-triangle pair index
-    ///   space out in chunks and runs every merge-join kernel directly;
-    /// * [`Resemblance::Pruned`] first builds, per join path, a columnar
-    ///   [`SetArena`] over all forward and backward sets (deduplicating
-    ///   content-identical rows), sketches and an exact support-overlap
-    ///   matrix over the distinct rows, and evaluates only the kernels
-    ///   not *proven* exactly zero — then assembles the same
-    ///   upper-triangle chunks from memo lookups, where a missing entry
-    ///   is a proof the exact kernel returns zero. Only provably-zero
-    ///   work is skipped, so the tables (and every downstream merge) are
-    ///   bit-identical to `Exact` — the losslessness contract.
+    /// * [`Resemblance::Exact`] runs the merge-join kernels for every
+    ///   pair ([`weighted_pair`]);
+    /// * [`Resemblance::Pruned`] first indexes, per join path, every
+    ///   reference's forward and backward set by node, then fills each
+    ///   row `i` in one pass over the postings of `i`'s nodes (see
+    ///   `RowScratch::fill_row`), so only units whose sets share a node
+    ///   are evaluated, with the exact kernels' accumulation order.
     ///
-    /// `guard` is charged with kernel-pair counts (per assembly chunk,
-    /// and per arena build / surviving kernel batch on the pruned path);
-    /// if it trips, pending work is abandoned and `None` is returned — a
+    /// `guard` is charged with the pair count of each row chunk (and, on
+    /// the indexed path, with the set count of each path index); if it
+    /// trips, pending work is abandoned and `None` is returned — a
     /// partially filled matrix would silently bias the clustering toward
     /// whichever pairs happened to be computed. The [`exec::ParStats`]
-    /// records how far the stage got either way, and the returned
-    /// [`PairCounters`] record how many kernel units the chosen kernel
-    /// pruned (zeroed on an interrupted build, like the tables).
+    /// records how far the stage got either way (tasks are pairs), and the
+    /// returned [`PairCounters`] record how many kernel units were pruned
+    /// (zeroed on an interrupted build, like the tables).
     pub fn from_profiles_exec<P>(
         profiles: &[P],
         weights: &PathWeights,
@@ -175,148 +337,109 @@ impl DistinctMerger {
     where
         P: Borrow<Profile> + Sync,
     {
-        // distinct-lint: scratch(transient: oracle and test callers build and drop a private pool per call; engine callers thread the engine-owned pool through from_profiles_pooled instead)
-        let pool = ArenaPool::new();
-        Self::from_profiles_pooled(
-            profiles, weights, measure, composite, kernel, executor, guard, &pool,
-        )
-    }
-
-    /// Like [`DistinctMerger::from_profiles_exec`], but the pruned
-    /// kernel's per-path [`SetArena`]s are taken from (and returned to)
-    /// `pool` instead of being rebuilt from cold heap on every call —
-    /// the scratch seam that lets an engine reuse arena capacity across
-    /// resolves of different names. Tables are bit-identical to the
-    /// per-call build: [`SetArena::rebuild`] is content-equivalent to
-    /// `SetArena::build`, and the exact path never touches the pool.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_profiles_pooled<P>(
-        profiles: &[P],
-        weights: &PathWeights,
-        measure: MeasureMode,
-        composite: CompositeMode,
-        kernel: &Resemblance,
-        executor: &exec::Executor,
-        guard: &(dyn Fn(u64) -> bool + Sync),
-        pool: &ArenaPool,
-    ) -> (Option<Self>, exec::ParStats, PairCounters)
-    where
-        P: Borrow<Profile> + Sync,
-    {
         let n = profiles.len();
         let n_paths = profiles.first().map_or(0, |p| p.borrow().path_count());
         let n_pairs = exec::triangle_count(n);
         let unit_total = (n_pairs * n_paths) as u64;
         let tripped = AtomicBool::new(false);
 
-        // The pruned path precomputes per-path kernel memos; the exact
-        // path computes kernels inline during assembly.
-        let (kernels, prep_stats) = match kernel {
+        // The indexed pass needs every path's index before any row runs.
+        let (indexes, index_stats) = match kernel {
             Resemblance::Exact => (None, exec::ParStats::default()),
-            Resemblance::Pruned { sketch } => {
+            Resemblance::Pruned => {
                 let path_idx: Vec<usize> = (0..n_paths).collect();
                 let (built, stats) = executor.par_map_guarded(
                     &path_idx,
-                    |_, &k| build_path_kernels(profiles, k, sketch, guard, &tripped, pool),
+                    |_, &p| {
+                        if guard(2 * n as u64) {
+                            Some(PathIndex::build(profiles, p))
+                        } else {
+                            tripped.store(true, Ordering::Relaxed);
+                            None
+                        }
+                    },
                     || tripped.load(Ordering::Relaxed),
                 );
-                if built.iter().any(Option::is_none) {
-                    tripped.store(true, Ordering::Relaxed);
-                    let mut stats = stats;
-                    stats.stopped = true;
-                    return (None, stats, PairCounters::default());
+                let built: Option<Vec<PathIndex>> = built.into_iter().collect();
+                match built {
+                    Some(built) => (Some(built), stats),
+                    None => {
+                        let stats = exec::ParStats {
+                            tasks: n_pairs,
+                            completed: 0,
+                            stopped: true,
+                            ..stats
+                        };
+                        return (None, stats, PairCounters::default());
+                    }
                 }
-                (
-                    Some(built.into_iter().map(Option::unwrap).collect::<Vec<_>>()),
-                    stats,
-                )
             }
         };
 
-        // Assembly over the flat upper-triangle pair index space. Each
-        // pair's features depend only on its two (immutable) profiles /
-        // memos and every value lands in a fixed matrix cell.
         let (chunks, mut stats) = executor.par_chunks(
-            n_pairs,
-            |range: Range<usize>| -> Option<ChunkValues> {
-                if !guard(range.len() as u64) {
+            n,
+            |rows: Range<usize>| -> Option<ChunkValues> {
+                let pairs: usize = rows.clone().map(|i| n - i - 1).sum();
+                if !guard(pairs as u64) {
                     tripped.store(true, Ordering::Relaxed);
                     return None;
                 }
+                let mut cells = Vec::with_capacity(pairs);
                 let mut exact_units = 0u64;
-                let vals = range
-                    .map(|k| {
-                        let (i, j) = exec::triangle_pair(n, k);
-                        match &kernels {
-                            None => {
-                                let (pi, pj) = (profiles[i].borrow(), profiles[j].borrow());
-                                exact_units += n_paths as u64;
-                                let r = weighted_sum(&resemblance_features(pi, pj), &weights.resem);
-                                let dij =
-                                    weighted_sum(&directed_walk_features(pi, pj), &weights.walk);
-                                let dji =
-                                    weighted_sum(&directed_walk_features(pj, pi), &weights.walk);
-                                (r, dij, dji)
-                            }
-                            Some(kernels) => {
-                                let mut r_feats = vec![0.0f64; n_paths];
-                                let mut dij_feats = vec![0.0f64; n_paths];
-                                let mut dji_feats = vec![0.0f64; n_paths];
-                                for (p, pk) in kernels.iter().enumerate() {
-                                    let mut hit = false;
-                                    r_feats[p] =
-                                        pk.resem_at(i, j).inspect(|_| hit = true).unwrap_or(0.0);
-                                    dij_feats[p] = pk
-                                        .dot_at(i, j)
-                                        .inspect(|_| hit = true)
-                                        .unwrap_or_else(|| pk.zero_walk(i, j));
-                                    dji_feats[p] = pk
-                                        .dot_at(j, i)
-                                        .inspect(|_| hit = true)
-                                        .unwrap_or_else(|| pk.zero_walk(j, i));
-                                    if hit {
-                                        exact_units += 1;
-                                    }
-                                }
-                                let r = weighted_sum(&r_feats, &weights.resem);
-                                let dij = weighted_sum(&dij_feats, &weights.walk);
-                                let dji = weighted_sum(&dji_feats, &weights.walk);
-                                (r, dij, dji)
-                            }
+                match &indexes {
+                    None => {
+                        for i in rows {
+                            let pi = profiles[i].borrow();
+                            cells.extend(
+                                profiles[i + 1..]
+                                    .iter()
+                                    .map(|pj| weighted_pair(pi, pj.borrow(), weights)),
+                            );
                         }
-                    })
-                    .collect();
-                Some((vals, exact_units))
+                        exact_units = (pairs * n_paths) as u64;
+                    }
+                    Some(indexes) => {
+                        // distinct-lint: scratch(per row chunk: every row's fill leaves the accumulators zeroed for the next row, and the chunk drops them)
+                        let mut scratch = RowScratch::new(n);
+                        for i in rows {
+                            exact_units +=
+                                scratch.fill_row(profiles, indexes, weights, i, &mut cells);
+                        }
+                    }
+                }
+                Some((cells, exact_units))
             },
             || tripped.load(Ordering::Relaxed),
         );
-        stats.stopped = stats.stopped || tripped.load(Ordering::Relaxed);
+        // One ParStats for the whole stage, in pairs (the unit existing
+        // probes assert on), wall covering both phases.
+        stats.tasks = n_pairs;
         stats.completed = chunks
             .iter()
-            .filter(|(_, v)| v.is_some())
-            .map(|(r, _)| r.len())
+            .filter_map(|(_, v)| v.as_ref())
+            .map(|(cells, _)| cells.len())
             .sum();
-        // One ParStats for the whole stage: pair-granularity tasks (the
-        // unit existing probes assert on), wall covering both phases.
-        stats.threads = stats.threads.max(prep_stats.threads);
-        stats.wall += prep_stats.wall;
-        stats.stopped = stats.stopped || prep_stats.stopped;
+        stats.stopped = stats.stopped || tripped.load(Ordering::Relaxed);
+        stats.threads = stats.threads.max(index_stats.threads);
+        stats.wall += index_stats.wall;
         if stats.stopped {
             return (None, stats, PairCounters::default());
         }
         let mut exact_units = 0u64;
         let mut resem = vec![vec![0.0; n]; n];
         let mut dwalk = vec![vec![0.0; n]; n];
-        for (range, vals) in chunks {
+        for (rows, vals) in chunks {
             // distinct-lint: allow(D101, reason="stats.stopped was checked above; a complete run leaves every chunk Some by the exec pool contract")
-            let (vals, chunk_exact) = vals.expect("complete run has no refused chunks");
+            let (cells, chunk_exact) = vals.expect("complete run has no refused chunks");
             exact_units += chunk_exact;
-            for (k, (r, dij, dji)) in range.zip(vals) {
-                let (i, j) = exec::triangle_pair(n, k);
-                resem[i][j] = r;
-                resem[j][i] = r;
-                dwalk[i][j] = dij;
-                dwalk[j][i] = dji;
+            let mut cells = cells.into_iter();
+            for i in rows {
+                for ((r, dij, dji), j) in cells.by_ref().take(n - i - 1).zip(i + 1..n) {
+                    resem[i][j] = r;
+                    resem[j][i] = r;
+                    dwalk[i][j] = dij;
+                    dwalk[j][i] = dji;
+                }
             }
         }
         let counters = PairCounters {
@@ -324,9 +447,7 @@ impl DistinctMerger {
             pruned: unit_total - exact_units,
             exact: exact_units,
             cached: 0,
-            interned: kernels
-                .as_ref()
-                .map_or(0, |ks| ks.iter().map(|k| k.interned).sum()),
+            interned: indexes.as_ref().map_or(0, |ix| (2 * n * ix.len()) as u64),
         };
         (
             Some(DistinctMerger {
@@ -407,118 +528,6 @@ impl DistinctMerger {
     }
 }
 
-/// Build the kernel memos for one join path: intern all forward and
-/// backward sets into a columnar [`SetArena`], prove most distinct row
-/// pairs exactly zero (sketch tier first, then the exact support-overlap
-/// matrix), and run the merge-join kernels only for the survivors.
-///
-/// `guard` is charged once with the interned set count (the arena /
-/// sketch / overlap build) and once with the surviving kernel count.
-///
-/// The arena is taken from `pool` and rebuilt in place (bit-identical
-/// to a fresh [`SetArena::build`]); it returns to the pool on every
-/// exit path, including a tripped guard.
-fn build_path_kernels<P: Borrow<Profile>>(
-    profiles: &[P],
-    k: usize,
-    sketch: &relgraph::SketchConfig,
-    guard: &(dyn Fn(u64) -> bool + Sync),
-    tripped: &AtomicBool,
-    pool: &ArenaPool,
-) -> Option<PathKernels> {
-    let n = profiles.len();
-    if !guard(2 * n as u64) {
-        tripped.store(true, Ordering::Relaxed);
-        return None;
-    }
-    let bwd: Vec<relgraph::WeightedSet> = profiles
-        .iter()
-        .map(|p| p.borrow().props[k].backward_set())
-        .collect();
-    let mut arena: SetArena = pool.take();
-    arena.rebuild(
-        profiles
-            .iter()
-            .map(|p| &p.borrow().sets[k])
-            .chain(bwd.iter()),
-    );
-    let sketches = arena.sketches(sketch);
-    let overlap = arena.intersections();
-    let row_f: Vec<u32> = (0..n).map(|i| arena.row_of(i)).collect();
-    let row_b: Vec<u32> = (0..n).map(|i| arena.row_of(n + i)).collect();
-    let row_empty: Vec<bool> = sketches.iter().map(|s| s.is_empty()).collect();
-
-    // Distinct forward rows (ascending), remembering which are realized
-    // by at least two references — only those can produce a same-row
-    // (r, r) resemblance lookup from an i ≠ j pair.
-    let mut used_f: Vec<u32> = row_f.clone();
-    used_f.sort_unstable();
-    let mut uniq_f: Vec<(u32, bool)> = Vec::with_capacity(used_f.len());
-    for &r in &used_f {
-        match uniq_f.last_mut() {
-            Some((p, twice)) if *p == r => *twice = true,
-            _ => uniq_f.push((r, false)),
-        }
-    }
-    let mut used_b: Vec<u32> = row_b.clone();
-    used_b.sort_unstable();
-    used_b.dedup();
-
-    // Candidate row pairs, normalized (min, max). The dot candidates are
-    // the cross product of distinct forward × backward rows — a handful
-    // of combos only realized by i == j ride along harmlessly.
-    let mut resem_cands: Vec<(u32, u32)> =
-        Vec::with_capacity(uniq_f.len() * (uniq_f.len() + 1) / 2);
-    for (x, &(a, twice)) in uniq_f.iter().enumerate() {
-        if twice {
-            resem_cands.push((a, a));
-        }
-        for &(b, _) in &uniq_f[x + 1..] {
-            resem_cands.push((a, b));
-        }
-    }
-    let mut dot_cands: Vec<(u32, u32)> = Vec::with_capacity(uniq_f.len() * used_b.len());
-    for &(a, _) in &uniq_f {
-        for &b in &used_b {
-            dot_cands.push((a.min(b), a.max(b)));
-        }
-    }
-    dot_cands.sort_unstable();
-    dot_cands.dedup();
-
-    // Zero certificates: the sketch bound prunes first (cheap, sound),
-    // the exact overlap matrix catches everything a saturated mask
-    // missed — together they are complete, so a surviving pair has a
-    // provably nonzero kernel and a skipped pair a provably zero one.
-    let survives = |&(a, b): &(u32, u32)| {
-        sketches[a as usize].upper_bound(&sketches[b as usize]) != 0.0 && overlap.intersects(a, b)
-    };
-    let resem_cands: Vec<(u32, u32)> = resem_cands.into_iter().filter(|c| survives(c)).collect();
-    let dot_cands: Vec<(u32, u32)> = dot_cands.into_iter().filter(|c| survives(c)).collect();
-    if !guard((resem_cands.len() + dot_cands.len()) as u64) {
-        tripped.store(true, Ordering::Relaxed);
-        pool.put(arena);
-        return None;
-    }
-    let mut resem = FxHashMap::default();
-    for (a, b) in resem_cands {
-        resem.insert((a, b), arena.resemblance_rows(a, b));
-    }
-    let mut dot = FxHashMap::default();
-    for (a, b) in dot_cands {
-        dot.insert((a, b), arena.dot_rows(a, b));
-    }
-    pool.put(arena);
-    Some(PathKernels {
-        row_f,
-        row_b,
-        row_empty,
-        resem,
-        dot,
-        interned: sketches.len() as u64,
-    })
-}
-
 impl Merger for DistinctMerger {
     fn similarity(&self, a: usize, b: usize) -> f64 {
         match self.measure {
@@ -568,25 +577,19 @@ impl Merger for DistinctMerger {
 mod tests {
     use super::*;
     use cluster::agglomerate;
-    use relgraph::{NodeId, Propagation, WeightedSet};
-    use relstore::{FxHashMap, RelId, TupleId, TupleRef};
+    use proptest::prelude::*;
+    use relgraph::{NodeId, WeightedSet};
+    use relstore::{RelId, TupleId, TupleRef};
 
-    /// Build a synthetic profile over one "path" whose forward map is given
+    /// Build a synthetic profile over one "path" whose forward set is given
     /// by (node, weight) pairs; backward mirrors forward (good enough for
     /// merger arithmetic tests).
     fn profile(idx: u32, pairs: &[(u32, f64)]) -> Profile {
-        let mut fwd: FxHashMap<NodeId, f64> = FxHashMap::default();
-        for &(n, w) in pairs {
-            fwd.insert(NodeId(n), w);
-        }
-        let prop = Propagation {
-            forward: fwd.clone(),
-            backward: fwd.clone(),
-        };
+        let set: WeightedSet = pairs.iter().map(|&(n, w)| (NodeId(n), w)).collect();
         Profile {
             reference: TupleRef::new(RelId(0), TupleId(idx)),
-            sets: vec![WeightedSet::from_map(prop.forward.clone())],
-            props: vec![prop],
+            sets: vec![set.clone()],
+            back: vec![set],
             placeholder: false,
         }
     }
@@ -753,13 +756,13 @@ mod tests {
         }
     }
 
-    /// The losslessness contract at the table level: the pruned build's
+    /// The losslessness contract on a hand-built case: the indexed pass's
     /// matrices carry the exact build's bits, including zero signs, and
     /// its counters account for real pruning.
     #[test]
     fn pruned_build_is_bit_identical_and_actually_prunes() {
-        // Three disconnected cliques: most pairs have provably-zero
-        // kernels, a few same-row references exercise memo reuse.
+        // Three disconnected cliques: most pairs share no node, and a
+        // content-identical reference joins the first clique.
         let mut profiles: Vec<Profile> = Vec::new();
         for g in 0..3u32 {
             for m in 0..3u32 {
@@ -879,6 +882,140 @@ mod tests {
         m.merged(0, 1, 4, 1, 1);
         for c in 0..4 {
             assert_eq!(m.resem[4][c], m.resem[c][4]);
+        }
+    }
+
+    /// Node weights across magnitudes: tiny (products underflow),
+    /// small, ordinary and large.
+    fn weight(kind: u8, frac: f64) -> f64 {
+        match kind {
+            0 => 1e-300 * (1.0 + frac),
+            1 => 1e-9 * (1.0 + frac),
+            2 => 0.01 + frac,
+            _ => 1.0 + 49.0 * frac,
+        }
+    }
+
+    /// Profiles over 1–4 paths whose forward and backward sets are picked
+    /// from a small pool (so content-identical sets recur) of empty,
+    /// single-node and small sets, with path weights that include zeros
+    /// and negatives (so zero signs matter).
+    fn arb_case() -> impl Strategy<Value = (Vec<Profile>, PathWeights)> {
+        let member = (0u32..10, 0u8..4, 0.0f64..1.0);
+        let pool =
+            proptest::collection::vec((0u8..3, proptest::collection::vec(member, 1..7)), 1..8);
+        let picks =
+            proptest::collection::vec(proptest::collection::vec((0usize..8, 0usize..8), 4), 0..40);
+        let path_weights = proptest::collection::vec((0u8..3, -2.0f64..2.0), 8);
+        (1usize..5, pool, picks, path_weights).prop_map(|(paths, pool, picks, pw)| {
+            let sets: Vec<WeightedSet> = pool
+                .iter()
+                .map(|(shape, members)| {
+                    let keep = match shape {
+                        0 => 0,
+                        1 => 1,
+                        _ => members.len(),
+                    };
+                    members[..keep]
+                        .iter()
+                        .map(|&(t, kind, frac)| (NodeId(t), weight(kind, frac)))
+                        .collect()
+                })
+                .collect();
+            let k = sets.len();
+            let profiles = picks
+                .iter()
+                .enumerate()
+                .map(|(i, per_path)| Profile {
+                    reference: TupleRef::new(RelId(0), TupleId(i as u32)),
+                    sets: per_path[..paths]
+                        .iter()
+                        .map(|&(f, _)| sets[f % k].clone())
+                        .collect(),
+                    back: per_path[..paths]
+                        .iter()
+                        .map(|&(_, b)| sets[b % k].clone())
+                        .collect(),
+                    placeholder: false,
+                })
+                .collect();
+            let w = |&(sel, x): &(u8, f64)| match sel {
+                0 => 0.0,
+                1 => 1.0,
+                _ => x,
+            };
+            let weights = PathWeights {
+                resem: pw[..paths].iter().map(w).collect(),
+                walk: pw[4..4 + paths].iter().map(w).collect(),
+            };
+            (profiles, weights)
+        })
+    }
+
+    fn shares_a_node(a: &WeightedSet, b: &WeightedSet) -> bool {
+        a.iter().any(|(t, _)| b.weight(t) > 0.0)
+    }
+
+    proptest! {
+        // The losslessness contract at the table level: the indexed pass
+        // carries the exact build's bits, zero signs included, at any
+        // thread count, and prunes exactly the units whose sets share no
+        // node.
+        #[test]
+        fn indexed_pass_is_bit_identical_to_exact((profiles, weights) in arb_case()) {
+            let n = profiles.len();
+            let exact = DistinctMerger::from_profiles(
+                &profiles,
+                &weights,
+                MeasureMode::Combined,
+                CompositeMode::Geometric,
+            );
+            let mut touching = 0u64;
+            for i in 0..n {
+                for j in i + 1..n {
+                    let (a, b) = (&profiles[i], &profiles[j]);
+                    for p in 0..weights.resem.len() {
+                        if shares_a_node(&a.sets[p], &b.sets[p])
+                            || shares_a_node(&a.sets[p], &b.back[p])
+                            || shares_a_node(&b.sets[p], &a.back[p])
+                        {
+                            touching += 1;
+                        }
+                    }
+                }
+            }
+            for threads in [1usize, 2, 4] {
+                let (m, stats, counters) = DistinctMerger::from_profiles_exec(
+                    &profiles,
+                    &weights,
+                    MeasureMode::Combined,
+                    CompositeMode::Geometric,
+                    &Resemblance::Pruned,
+                    &exec::Executor::with_threads(threads),
+                    &|_| true,
+                );
+                let m = m.expect("permissive guard");
+                prop_assert!(!stats.stopped);
+                prop_assert_eq!(stats.completed, exec::triangle_count(n));
+                for i in 0..n {
+                    for j in 0..n {
+                        prop_assert_eq!(
+                            m.resem[i][j].to_bits(),
+                            exact.resem[i][j].to_bits(),
+                            "resem[{}][{}] threads={}", i, j, threads
+                        );
+                        prop_assert_eq!(
+                            m.dwalk[i][j].to_bits(),
+                            exact.dwalk[i][j].to_bits(),
+                            "dwalk[{}][{}] threads={}", i, j, threads
+                        );
+                    }
+                }
+                let total = (exec::triangle_count(n) * weights.resem.len()) as u64;
+                prop_assert_eq!(counters.total, total);
+                prop_assert_eq!(counters.exact, touching);
+                prop_assert_eq!(counters.pruned, total - touching);
+            }
         }
     }
 }

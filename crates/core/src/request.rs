@@ -16,7 +16,7 @@
 //! ```
 
 use crate::control::RunControl;
-use relgraph::{ConfigError, Resemblance};
+use relgraph::Resemblance;
 use relstore::TupleRef;
 use std::path::Path;
 use std::time::Duration;
@@ -74,13 +74,14 @@ pub struct ExecReport {
     /// resemblance and both directed walks along that path. Equals
     /// `pairs × paths` whenever the similarity stage ran to completion.
     pub pairs_total: u64,
-    /// Kernel units the pruned engine skipped because every kernel value
-    /// was provably exactly zero (sketch or support-overlap certificate).
-    /// Always `0` under [`relgraph::Resemblance::Exact`]. Invariant:
-    /// `pairs_pruned + pairs_exact == pairs_total`.
+    /// Kernel units the indexed pass never evaluated because the pair's
+    /// forward and backward sets share no node along the path, so every
+    /// kernel value is the exact kernels' zero. Always `0` under
+    /// [`relgraph::Resemblance::Exact`]. Invariant: `pairs_pruned +
+    /// pairs_exact + pairs_cached == pairs_total`.
     pub pairs_pruned: u64,
-    /// Kernel units whose exact merge-join kernels were evaluated (or
-    /// reused from a content-identical row pair).
+    /// Kernel units evaluated: under the indexed pass, units whose sets
+    /// share at least one node; under `Exact`, every unit.
     pub pairs_exact: u64,
     /// Kernel units copied verbatim from the tables of a previous resolve
     /// of the same name (incremental requests only; a cold run reports
@@ -95,10 +96,11 @@ pub struct ExecReport {
     /// Distinct reference names whose cached state the triggering updates
     /// invalidated (incremental requests only, `0` for batch runs).
     pub names_affected: u64,
-    /// Distinct neighbor-set rows interned into per-path `SetArena`s
-    /// during this run. A warm incremental resolve that re-uses its cached
-    /// tables reports `0` — the regression guard for the
-    /// arena-rebuild-per-call waste.
+    /// Neighbor sets the indexed similarity pass indexed during this run:
+    /// a forward and a backward set per reference and join path (`0`
+    /// under [`relgraph::Resemblance::Exact`]). A warm incremental resolve
+    /// that re-uses its cached tables reports `0` — the regression guard
+    /// for rebuilding the index on every call.
     pub arena_rows_interned: u64,
 }
 
@@ -219,23 +221,17 @@ impl<'a> ResolveRequest<'a> {
         self
     }
 
-    /// Select the similarity kernel for this run. The default is
-    /// [`Resemblance::Pruned`] with lossless settings — bit-identical
-    /// results to [`Resemblance::Exact`], which stays one call away:
+    /// Select how this run builds its similarity tables. The default is
+    /// [`Resemblance::Pruned`], the indexed pass — bit-identical results
+    /// to [`Resemblance::Exact`], which stays one call away as the
+    /// differential reference:
     ///
     /// ```text
-    /// let req = ResolveRequest::new(&refs)
-    ///     .similarity(Resemblance::Exact)?;                 // reference path
-    /// let req = ResolveRequest::new(&refs)
-    ///     .similarity(Resemblance::Pruned { sketch })?;     // custom sketch
+    /// let req = ResolveRequest::new(&refs).similarity(Resemblance::Exact);
     /// ```
-    ///
-    /// Invalid sketch parameters surface here as typed
-    /// [`ConfigError`]s instead of panicking mid-resolve.
-    pub fn similarity(mut self, kernel: Resemblance) -> Result<Self, ConfigError> {
-        kernel.validate()?;
+    pub fn similarity(mut self, kernel: Resemblance) -> Self {
         self.resemblance = kernel;
-        Ok(self)
+        self
     }
 
     /// The similarity kernel this request will run with.
@@ -319,29 +315,16 @@ mod tests {
         assert!(bare.min_sim.is_none());
         assert!(bare.threads.is_none());
         // The fast path is the default path.
-        assert!(matches!(
-            bare.similarity_kernel(),
-            Resemblance::Pruned { .. }
-        ));
+        assert_eq!(bare.similarity_kernel(), Resemblance::Pruned);
     }
 
     #[test]
-    fn similarity_builder_validates_the_kernel() {
-        use relgraph::SketchConfig;
+    fn similarity_builder_selects_the_kernel() {
         let refs = vec![TupleRef::new(RelId(0), TupleId(0))];
-        let req = ResolveRequest::new(&refs)
-            .similarity(Resemblance::Exact)
-            .expect("Exact always validates");
+        let req = ResolveRequest::new(&refs).similarity(Resemblance::Exact);
         assert_eq!(req.similarity_kernel(), Resemblance::Exact);
-        let err = ResolveRequest::new(&refs)
-            .similarity(Resemblance::Pruned {
-                sketch: SketchConfig {
-                    prefix_len: 0,
-                    minhash_bits: 9,
-                },
-            })
-            .unwrap_err();
-        assert_eq!(err, ConfigError::PrefixLen { got: 0 });
+        let req = req.similarity(Resemblance::Pruned);
+        assert_eq!(req.similarity_kernel(), Resemblance::Pruned);
     }
 
     #[test]

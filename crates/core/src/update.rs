@@ -46,7 +46,7 @@
 //! resulting streaming partitions equal to cold batch resolves.
 
 use crate::control::RunControl;
-use crate::features::{directed_walk_features, resemblance_features, weighted_sum};
+use crate::features::weighted_pair;
 use crate::pipeline::{stage_stats, Distinct, DistinctError, ResolveOutcome};
 use crate::refcluster::DistinctMerger;
 use crate::request::{ExecReport, ResolveRequest};
@@ -654,8 +654,8 @@ impl Distinct {
         }
 
         // Stage 2: leaf similarity tables — copy clean pairs, re-score
-        // dirty ones through the exact kernel (bit-identical to the
-        // lossless pruned kernel the batch path uses).
+        // dirty ones through the exact kernels (bit-identical to the
+        // indexed pass the batch path uses).
         // distinct-lint: allow(D004, reason="wall time feeds ExecReport stage timings only; control flow stays with RunControl")
         let clock = Instant::now();
         let logical1 = ctl.spent();
@@ -696,10 +696,7 @@ impl Distinct {
                         return None;
                     }
                     dirty_pairs += 1;
-                    let (pi, pj) = (&profiles[i], &profiles[j]);
-                    let r = weighted_sum(&resemblance_features(pi, pj), &self.weights.resem);
-                    let dij = weighted_sum(&directed_walk_features(pi, pj), &self.weights.walk);
-                    let dji = weighted_sum(&directed_walk_features(pj, pi), &self.weights.walk);
+                    let (r, dij, dji) = weighted_pair(&profiles[i], &profiles[j], &self.weights);
                     res[i][j] = r;
                     res[j][i] = r;
                     dwk[i][j] = dij;
@@ -1001,7 +998,7 @@ mod tests {
         let e = engine(&d);
         let refs = e.references_of("Wei Wang");
         let cold = e.resolve(&ResolveRequest::incremental(&refs));
-        assert!(cold.exec.arena_rows_interned > 0, "cold build interns rows");
+        assert!(cold.exec.arena_rows_interned > 0, "cold build indexes sets");
         let warm = e.resolve(&ResolveRequest::incremental(&refs));
         assert_eq!(warm.exec.arena_rows_interned, 0);
         assert_eq!(warm.exec.pairs_cached, warm.exec.pairs_total);

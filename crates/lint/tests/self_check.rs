@@ -377,30 +377,33 @@ fn binary_reports_seeded_read_only_clone() {
 }
 
 /// Strip the `scratch(...)` declaration off a real registered scratch
-/// structure (the pooled `SetArena` minted in `ArenaPool::take`) and
-/// assert `check` fails with D112 — and that `--fix-baseline`
-/// refuses to absorb it as debt, mirroring the D108 refusal.
+/// structure (the indexed similarity pass's per-chunk `RowScratch`) and
+/// assert `check` fails with D112 — and that `--fix-baseline` refuses to
+/// absorb it as debt, mirroring the D108 refusal.
 #[test]
 fn binary_reports_stripped_scratch_declaration_and_refuses_to_baseline_it() {
     let scratch = std::env::temp_dir().join(format!("distinct-lint-d112-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     copy_workspace(&workspace_root(), &scratch);
 
-    let arena = scratch.join("crates/relgraph/src/arena.rs");
-    let src = std::fs::read_to_string(&arena).expect("read arena.rs");
+    let file = scratch.join("crates/core/src/refcluster.rs");
+    let src = std::fs::read_to_string(&file).expect("read refcluster.rs");
     let stripped: String = src
         .lines()
         .filter(|l| !l.contains("distinct-lint: scratch("))
         .map(|l| format!("{l}\n"))
         .collect();
-    assert_ne!(src, stripped, "arena.rs must carry a scratch() declaration");
-    std::fs::write(&arena, stripped).expect("strip declaration");
+    assert_ne!(
+        src, stripped,
+        "refcluster.rs must carry a scratch() declaration"
+    );
+    std::fs::write(&file, stripped).expect("strip declaration");
 
     let (code, text) = run_lint(&["check"], &scratch);
     assert_eq!(code, Some(1), "stripped copy must fail check:\n{text}");
     assert!(text.contains("D112"), "no D112 reported:\n{text}");
     assert!(
-        text.contains("SetArena") && text.contains("crates/relgraph/src/arena.rs"),
+        text.contains("RowScratch") && text.contains("crates/core/src/refcluster.rs"),
         "finding does not name the scratch type and file:\n{text}"
     );
 

@@ -9,25 +9,21 @@
 //!   tuple) and `Prob_P(t → r)` in a single pass (paper §2.2, Fig. 3);
 //! * [`WeightedSet`] — weighted neighbor-tuple sets with the
 //!   connection-strength-weighted Jaccard of Definition 2;
-//! * [`walk_probability`] — random-walk probability between two references
-//!   along a path and its reverse (paper §2.4);
-//! * [`Resemblance`] — the unified kernel selector ([`Resemblance::Exact`]
-//!   vs lossless [`Resemblance::Pruned`]) behind every resemblance
-//!   evaluation, backed by per-set [`Sketch`]es and the columnar
-//!   [`SetArena`].
+//! * [`directed_walk`] — random-walk probability from one reference to
+//!   another along a path and its reverse (paper §2.4), a merge-join over
+//!   sorted forward and backward sets;
+//! * [`Resemblance`] — the similarity-build selector ([`Resemblance::Exact`]
+//!   pair by pair vs the default [`Resemblance::Pruned`] inverted-index
+//!   pass), which computes the same bits either way.
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod graph;
 pub mod neighbors;
 pub mod propagate;
-pub mod sketch;
 pub mod walk;
 
-pub use arena::{ArenaPool, IntersectionMatrix, SetArena};
 pub use graph::{LinkGraph, NodeId};
 pub use neighbors::{Resemblance, WeightedSet};
 pub use propagate::{propagate, propagate_blocked, propagate_blocked_guarded, Propagation};
-pub use sketch::{ConfigError, Sketch, SketchConfig};
-pub use walk::{directed_walk, walk_probability};
+pub use walk::directed_walk;

@@ -11,91 +11,41 @@
 //! ```
 
 use crate::graph::NodeId;
-use crate::sketch::{ConfigError, Sketch, SketchConfig};
 use relstore::FxHashMap;
 
-/// The resemblance kernel selector: one dispatch point for every
-/// weighted-Jaccard evaluation in the engine.
+/// How the similarity stage builds a name's pairwise tables.
 ///
-/// Both variants compute the *same function* — Definition 2, bit for bit.
-/// They differ only in how the similarity stage schedules the work:
+/// Both variants compute the *same function* — Definition 2 and the §2.4
+/// walk, bit for bit. They differ only in how the work is scheduled:
 ///
-/// * [`Resemblance::Exact`] evaluates the merge-join kernel for every
-///   pair directly (the canonical reference, one call away for
-///   differential tests);
-/// * [`Resemblance::Pruned`] builds per-stage [`Sketch`]es and a columnar
-///   [`SetArena`](crate::SetArena), skips kernels whose value is
-///   *provably exactly zero* (sketch bound or exact support-overlap
-///   certificate), and deduplicates content-identical rows. Because only
-///   provably-zero evaluations are skipped, the produced values — and
-///   hence every downstream merge decision — are bit-identical to
-///   `Exact` at any threshold. That is the losslessness contract, and
-///   the oracle differential suite enforces it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// * [`Resemblance::Exact`] runs the merge-join kernels for every
+///   (pair, path) unit directly (the canonical reference, one call away
+///   for differential tests);
+/// * [`Resemblance::Pruned`] indexes every reference's forward and
+///   backward sets by node and fills each row of the tables in one pass
+///   over those postings, so a unit whose supports share no node is never
+///   touched. It accumulates every sum in the order the merge-join does,
+///   so the tables — and hence every downstream merge decision — are
+///   bit-identical to `Exact`. The oracle differential suite enforces it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Resemblance {
-    /// Evaluate the exact kernel for every pair.
+    /// Evaluate the exact kernels for every pair.
     Exact,
-    /// Prune provably-zero kernels via sketches + interned arenas.
-    Pruned {
-        /// Sketch-tier parameters (validated at request build time).
-        sketch: SketchConfig,
-    },
+    /// Fill the tables in one inverted-index pass (the default).
+    #[default]
+    Pruned,
 }
 
 impl Resemblance {
-    /// The weighted Jaccard resemblance of Definition 2 under this
-    /// kernel. Pair-at-a-time entry point: `Pruned` consults the two
-    /// sets' sketches before falling back to the exact merge-join, and
-    /// returns the same bits either way.
+    /// The weighted Jaccard resemblance of Definition 2. Pair-at-a-time
+    /// entry point: both variants run the exact merge-join kernel.
     pub fn weighted(&self, a: &WeightedSet, b: &WeightedSet) -> f64 {
-        match self {
-            Resemblance::Exact => exact_resemblance(a, b),
-            Resemblance::Pruned { sketch } => {
-                let sa = Sketch::of_set(a, sketch);
-                let sb = Sketch::of_set(b, sketch);
-                if sa.upper_bound(&sb) == 0.0 {
-                    0.0
-                } else {
-                    exact_resemblance(a, b)
-                }
-            }
-        }
+        exact_resemblance(a, b)
     }
 
-    /// The unweighted Jaccard (ablation baseline) under this kernel.
-    /// A zero sketch bound proves the supports are disjoint, which
-    /// zeroes the unweighted coefficient too.
+    /// The unweighted Jaccard (ablation baseline), via the exact kernel.
     pub fn unweighted(&self, a: &WeightedSet, b: &WeightedSet) -> f64 {
-        match self {
-            Resemblance::Exact => exact_jaccard(a, b),
-            Resemblance::Pruned { sketch } => {
-                let sa = Sketch::of_set(a, sketch);
-                let sb = Sketch::of_set(b, sketch);
-                if sa.upper_bound(&sb) == 0.0 {
-                    0.0
-                } else {
-                    exact_jaccard(a, b)
-                }
-            }
-        }
-    }
-
-    /// Validate the kernel's parameters (always `Ok` for `Exact`).
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        match self {
-            Resemblance::Exact => Ok(()),
-            Resemblance::Pruned { sketch } => sketch.validate(),
-        }
-    }
-}
-
-impl Default for Resemblance {
-    /// Pruned with the lossless defaults — the fast path is the default
-    /// path, and it is exact by construction.
-    fn default() -> Self {
-        Resemblance::Pruned {
-            sketch: SketchConfig::lossless(),
-        }
+        exact_jaccard(a, b)
     }
 }
 
@@ -169,6 +119,11 @@ impl WeightedSet {
     /// Iterate `(node, weight)` pairs in ascending node order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         self.weights.iter().copied()
+    }
+
+    /// The `(node, weight)` pairs in ascending node order.
+    pub(crate) fn pairs(&self) -> &[(NodeId, f64)] {
+        &self.weights
     }
 
     /// Sum of all weights, accumulated in node order.
@@ -394,53 +349,20 @@ mod tests {
     fn kernel_dispatch_agrees_with_wrappers() {
         let a = set(&[(1, 0.5), (2, 0.5)]);
         let b = set(&[(2, 0.25), (3, 0.75)]);
-        let exact = Resemblance::Exact;
-        let pruned = Resemblance::default();
-        assert!(matches!(pruned, Resemblance::Pruned { .. }));
-        assert_eq!(
-            exact.weighted(&a, &b).to_bits(),
-            a.resemblance(&b).to_bits()
-        );
-        assert_eq!(
-            pruned.weighted(&a, &b).to_bits(),
-            a.resemblance(&b).to_bits()
-        );
-        assert_eq!(
-            pruned.unweighted(&a, &b).to_bits(),
-            a.jaccard_unweighted(&b).to_bits()
-        );
-        exact.validate().unwrap();
-        pruned.validate().unwrap();
-        let bad = Resemblance::Pruned {
-            sketch: SketchConfig {
-                prefix_len: 0,
-                minhash_bits: 9,
-            },
-        };
-        assert!(bad.validate().is_err());
+        assert_eq!(Resemblance::default(), Resemblance::Pruned);
+        for kernel in [Resemblance::Exact, Resemblance::Pruned] {
+            assert_eq!(
+                kernel.weighted(&a, &b).to_bits(),
+                a.resemblance(&b).to_bits()
+            );
+            assert_eq!(
+                kernel.unweighted(&a, &b).to_bits(),
+                a.jaccard_unweighted(&b).to_bits()
+            );
+        }
     }
 
     proptest! {
-        // The losslessness contract at the pair level: `Pruned` returns
-        // the same bits as `Exact` for arbitrary sets.
-        #[test]
-        fn pruned_kernel_bit_identical_to_exact(
-            xs in proptest::collection::vec((0u32..24, 0.01f64..1.0), 0..15),
-            ys in proptest::collection::vec((0u32..24, 0.01f64..1.0), 0..15),
-        ) {
-            let a = set(&xs);
-            let b = set(&ys);
-            let pruned = Resemblance::default();
-            prop_assert_eq!(
-                pruned.weighted(&a, &b).to_bits(),
-                Resemblance::Exact.weighted(&a, &b).to_bits()
-            );
-            prop_assert_eq!(
-                pruned.unweighted(&a, &b).to_bits(),
-                Resemblance::Exact.unweighted(&a, &b).to_bits()
-            );
-        }
-
         #[test]
         fn resemblance_is_symmetric_and_bounded(
             xs in proptest::collection::vec((0u32..20, 0.01f64..1.0), 0..15),

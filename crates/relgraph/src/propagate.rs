@@ -50,13 +50,15 @@ impl Propagation {
         self.forward.is_empty()
     }
 
-    /// The backward map as a sorted [`crate::WeightedSet`] — the
-    /// representation the columnar similarity arena interns. Weights are
-    /// the `Prob_P(t → r)` values; construction sorts by node id, so
-    /// downstream accumulations are independent of the map's insertion
-    /// history (lint D001).
-    pub fn backward_set(&self) -> crate::WeightedSet {
-        crate::WeightedSet::from_map(self.backward.clone())
+    /// The forward and backward maps as sorted [`crate::WeightedSet`]s,
+    /// moving the maps rather than cloning them. Construction sorts by
+    /// node id, so every accumulation over the sets is independent of the
+    /// maps' insertion history (lint D001).
+    pub fn into_sets(self) -> (crate::WeightedSet, crate::WeightedSet) {
+        (
+            crate::WeightedSet::from_map(self.forward),
+            crate::WeightedSet::from_map(self.backward),
+        )
     }
 }
 
@@ -117,10 +119,11 @@ pub fn propagate_blocked_guarded(
     let rels = path.relations(catalog);
 
     // Forward pass, keeping each level's frontier for the backward pass.
+    // Each finished level moves into `levels` (no clones); the last one
+    // joins them after the loop.
     let mut levels: Vec<FxHashMap<NodeId, f64>> = Vec::with_capacity(path.len() + 1);
     let mut frontier: FxHashMap<NodeId, f64> = FxHashMap::default();
     frontier.insert(graph.node(origin), 1.0);
-    levels.push(frontier.clone());
     // Hoisted sort scratch, refilled per level instead of reallocated
     // (lint D110): each level clears it and re-extends from the frontier.
     let mut expand: Vec<(NodeId, f64)> = Vec::new();
@@ -150,9 +153,9 @@ pub fn propagate_blocked_guarded(
                 *next.entry(v).or_insert(0.0) += share;
             }
         }
-        levels.push(next.clone());
-        frontier = next;
+        levels.push(std::mem::replace(&mut frontier, next));
     }
+    levels.push(frontier);
 
     // Backward pass: g_i(u) = P(reverse walk from u at level i reaches origin).
     // g_0(origin) = 1; g_i(u) = (Σ_{v ∈ rev(u)} g_{i-1}(v)) / |rev(u)| where
@@ -188,7 +191,7 @@ pub fn propagate_blocked_guarded(
     }
 
     Some(Propagation {
-        forward: frontier,
+        forward: levels.pop().unwrap_or_default(),
         backward: g,
     })
 }

@@ -14,40 +14,39 @@
 //!
 //! We report the symmetrized value `(Walk_P(r1→r2) + Walk_P(r2→r1)) / 2`.
 
-use crate::propagate::Propagation;
+use crate::neighbors::WeightedSet;
 
 /// Directed walk probability `Walk_P(a → b)`: leave `a` forward along the
-/// path, return to `b` along the reverse path.
+/// path, return to `b` along the reverse path. `forward` is `a`'s
+/// `Prob_P(a → t)` set and `backward` is `b`'s `Prob_P(t → b)` set.
 ///
-/// The cross terms are summed in ascending node order (not hash-map
-/// iteration order): float addition is not associative, so a hash-ordered
-/// sum would let the maps' insertion history perturb low-order bits and
-/// break the bit-identical-at-any-thread-count guarantee (lint D001).
-pub fn directed_walk(a: &Propagation, b: &Propagation) -> f64 {
-    // Iterate over the smaller support.
-    let (small, large): (Vec<(crate::graph::NodeId, f64)>, _) =
-        if a.forward.len() <= b.backward.len() {
-            (
-                a.forward.iter().map(|(&n, &w)| (n, w)).collect(),
-                &b.backward,
-            )
-        } else {
-            (
-                b.backward.iter().map(|(&n, &w)| (n, w)).collect(),
-                &a.forward,
-            )
-        };
-    let mut terms = small;
-    terms.sort_unstable_by_key(|&(n, _)| n);
-    terms
-        .iter()
-        .map(|&(n, w)| w * large.get(&n).copied().unwrap_or(0.0))
-        .sum()
-}
-
-/// Symmetrized walk probability between two references along one path.
-pub fn walk_probability(a: &Propagation, b: &Propagation) -> f64 {
-    0.5 * (directed_walk(a, b) + directed_walk(b, a))
+/// A merge-join of the two sorted sets: the cross terms are summed in
+/// ascending node order (not hash-map iteration order), because float
+/// addition is not associative and a hash-ordered sum would let insertion
+/// history perturb low-order bits and break the bit-identical-at-any-
+/// thread-count guarantee (lint D001). The result is `-0.0` when either
+/// set is empty and `+0.0` plus the sum otherwise — the zero signs the
+/// weighted path sums downstream depend on.
+// O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair
+pub fn directed_walk(forward: &WeightedSet, backward: &WeightedSet) -> f64 {
+    if forward.is_empty() || backward.is_empty() {
+        return -0.0;
+    }
+    let (fw, bw) = (forward.pairs(), backward.pairs());
+    let mut sum = 0.0;
+    let (mut i, mut j) = (0, 0);
+    while i < fw.len() && j < bw.len() {
+        match fw[i].0.cmp(&bw[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                sum += fw[i].1 * bw[j].1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    sum
 }
 
 #[cfg(test)]
@@ -56,22 +55,20 @@ mod tests {
     use crate::graph::{LinkGraph, NodeId};
     use crate::propagate::propagate;
     use relstore::{
-        AttrType, Catalog, FxHashMap, JoinPath, JoinStep, SchemaBuilder, TupleId, TupleRef, Value,
+        AttrType, Catalog, JoinPath, JoinStep, SchemaBuilder, TupleId, TupleRef, Value,
     };
 
-    fn prop(fwd: &[(u32, f64)], bwd: &[(u32, f64)]) -> Propagation {
-        let mut f: FxHashMap<NodeId, f64> = FxHashMap::default();
-        for &(n, w) in fwd {
-            f.insert(NodeId(n), w);
-        }
-        let mut b: FxHashMap<NodeId, f64> = FxHashMap::default();
-        for &(n, w) in bwd {
-            b.insert(NodeId(n), w);
-        }
-        Propagation {
-            forward: f,
-            backward: b,
-        }
+    /// One reference's `(forward, backward)` sets along a path.
+    type Sets = (WeightedSet, WeightedSet);
+
+    fn prop(fwd: &[(u32, f64)], bwd: &[(u32, f64)]) -> Sets {
+        let set = |pairs: &[(u32, f64)]| pairs.iter().map(|&(n, w)| (NodeId(n), w)).collect();
+        (set(fwd), set(bwd))
+    }
+
+    /// The symmetrized walk probability `(Walk(a→b) + Walk(b→a)) / 2`.
+    fn walk_probability(a: &Sets, b: &Sets) -> f64 {
+        0.5 * (directed_walk(&a.0, &b.1) + directed_walk(&b.0, &a.1))
     }
 
     #[test]
@@ -79,9 +76,9 @@ mod tests {
         let a = prop(&[(1, 0.5), (2, 0.5)], &[(1, 0.2), (2, 0.3)]);
         let b = prop(&[(2, 1.0)], &[(2, 0.4)]);
         // a→b: f_a(2) * b_b(2) = 0.5 * 0.4 = 0.2 (node 1 not in b's support).
-        assert!((directed_walk(&a, &b) - 0.2).abs() < 1e-12);
+        assert!((directed_walk(&a.0, &b.1) - 0.2).abs() < 1e-12);
         // b→a: f_b(2) * b_a(2) = 1.0 * 0.3 = 0.3.
-        assert!((directed_walk(&b, &a) - 0.3).abs() < 1e-12);
+        assert!((directed_walk(&b.0, &a.1) - 0.3).abs() < 1e-12);
         assert!((walk_probability(&a, &b) - 0.25).abs() < 1e-12);
     }
 
@@ -90,6 +87,22 @@ mod tests {
         let a = prop(&[(1, 1.0)], &[(1, 1.0)]);
         let b = prop(&[(2, 1.0)], &[(2, 1.0)]);
         assert_eq!(walk_probability(&a, &b), 0.0);
+    }
+
+    /// The zero's sign records which case produced it: `-0.0` when either
+    /// side is empty, `+0.0` when both are non-empty but share no node.
+    #[test]
+    fn zero_walks_carry_the_sign_of_their_cause() {
+        let (a, b) = (
+            prop(&[(1, 1.0)], &[(1, 1.0)]),
+            prop(&[(2, 1.0)], &[(2, 1.0)]),
+        );
+        let empty = WeightedSet::new();
+        assert_eq!(directed_walk(&a.0, &b.1).to_bits(), 0.0f64.to_bits());
+        assert_eq!(directed_walk(&a.0, &empty).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(directed_walk(&empty, &b.1).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(directed_walk(&empty, &empty).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(directed_walk(&a.0, &a.1).to_bits(), 1.0f64.to_bits());
     }
 
     #[test]
@@ -132,9 +145,9 @@ mod tests {
         let publish = c.relation_id("Publish").unwrap();
         let fk = c.fk_edges()[0].id;
         let path = JoinPath::new(publish, vec![JoinStep::forward(fk)], &c).unwrap();
-        let p0 = propagate(&g, &c, &path, TupleRef::new(publish, TupleId(0)));
-        let p1 = propagate(&g, &c, &path, TupleRef::new(publish, TupleId(1)));
-        let p2 = propagate(&g, &c, &path, TupleRef::new(publish, TupleId(2)));
+        let p0 = propagate(&g, &c, &path, TupleRef::new(publish, TupleId(0))).into_sets();
+        let p1 = propagate(&g, &c, &path, TupleRef::new(publish, TupleId(1))).into_sets();
+        let p2 = propagate(&g, &c, &path, TupleRef::new(publish, TupleId(2))).into_sets();
         let same = walk_probability(&p0, &p1);
         let diff = walk_probability(&p0, &p2);
         // Shared paper: 1 * 1/2 both ways = 0.5. Unrelated: 0.
@@ -170,7 +183,7 @@ mod tests {
         let publish = c.relation_id("Publish").unwrap();
         let fk = c.fk_edges()[0].id;
         let path = JoinPath::new(publish, vec![JoinStep::forward(fk)], &c).unwrap();
-        let p = propagate(&g, &c, &path, TupleRef::new(publish, TupleId(0)));
+        let p = propagate(&g, &c, &path, TupleRef::new(publish, TupleId(0))).into_sets();
         assert!((walk_probability(&p, &p) - 0.25).abs() < 1e-12);
     }
 }

@@ -1,9 +1,9 @@
-//! Selecting the similarity kernel: pruned-default resolve vs explicit
-//! `Exact`, kernel-unit accounting, and builder validation — the
-//! `Resemblance` API (DESIGN.md §15) through the public crate surface.
+//! Selecting the similarity build: the indexed-pass default resolve vs
+//! explicit `Exact`, and kernel-unit accounting — the `Resemblance` API
+//! (DESIGN.md §15) through the public crate surface.
 
 use datagen::{AmbiguousSpec, World, WorldConfig};
-use distinct::{Distinct, DistinctConfig, Resemblance, ResolveRequest, SketchConfig};
+use distinct::{Distinct, DistinctConfig, Resemblance, ResolveRequest};
 
 fn main() {
     let mut config = WorldConfig::tiny(3);
@@ -16,12 +16,9 @@ fn main() {
         .expect("prepare");
     let refs = &d.truths[0].refs;
 
-    // Default request runs the pruned kernel.
+    // Default request runs the indexed pass.
     let req = ResolveRequest::new(refs).threads(8);
-    assert!(matches!(
-        req.similarity_kernel(),
-        Resemblance::Pruned { .. }
-    ));
+    assert_eq!(req.similarity_kernel(), Resemblance::Pruned);
     let pruned = engine.resolve(&req);
     assert!(pruned.degraded.is_none());
     let exec = pruned.exec;
@@ -32,8 +29,7 @@ fn main() {
     let exact = engine.resolve(
         &ResolveRequest::new(refs)
             .threads(8)
-            .similarity(Resemblance::Exact)
-            .expect("Exact validates"),
+            .similarity(Resemblance::Exact),
     );
     assert_eq!(exact.clustering.labels, pruned.clustering.labels);
     assert_eq!(
@@ -42,18 +38,8 @@ fn main() {
     );
     assert_eq!(exact.exec.pairs_pruned, 0);
 
-    // Invalid sketch parameters surface as typed errors at build time.
-    let err = ResolveRequest::new(refs)
-        .similarity(Resemblance::Pruned {
-            sketch: SketchConfig {
-                prefix_len: 0,
-                minhash_bits: 9,
-            },
-        })
-        .unwrap_err();
-    println!("rejected config: {err}");
     println!(
-        "pruned kernel: {} / {} units pruned ({:.1}%), labels identical to Exact across {} refs",
+        "indexed pass: {} / {} units pruned ({:.1}%), labels identical to Exact across {} refs",
         exec.pairs_pruned,
         exec.pairs_total,
         100.0 * exec.pairs_pruned as f64 / exec.pairs_total as f64,
