@@ -76,7 +76,6 @@ pub use paths::PathSet;
 pub use pipeline::{Degraded, Distinct, DistinctError, ResolveOutcome, TrainingReport};
 pub use probe::StageProbe;
 pub use refcluster::{DistinctMerger, PairCounters};
-pub use relgraph::Resemblance;
 pub use report::{render_name_dot, render_name_report};
 pub use request::{ExecReport, ResolveRequest, StageStats, TrainRequest};
 pub use runmgr::{DurableOutcome, RunOptions, RunReport, UpdateStreamOutcome, RUN_FORMAT_VERSION};

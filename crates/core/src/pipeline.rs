@@ -407,27 +407,14 @@ impl Distinct {
     /// suffices); profiles computed here land in the shared cache, making
     /// this also a deterministic cache-warming primitive for
     /// warm-vs-cold differential runs.
-    pub fn stage_probe(&self, refs: &[TupleRef]) -> crate::probe::StageProbe {
-        self.stage_probe_with(refs, &relgraph::Resemblance::default())
-    }
-
-    /// [`Distinct::stage_probe`] under an explicit similarity kernel —
-    /// the hook the oracle differential suite uses to pin
-    /// [`relgraph::Resemblance::Exact`] and the pruned default against
-    /// each other bit for bit.
     // documented sequential diagnostic surface outside resolve()'s budget scope
-    pub fn stage_probe_with(
-        &self,
-        refs: &[TupleRef],
-        kernel: &relgraph::Resemblance,
-    ) -> crate::probe::StageProbe {
+    pub fn stage_probe(&self, refs: &[TupleRef]) -> crate::probe::StageProbe {
         let profiles: Vec<Arc<Profile>> = refs.iter().map(|&r| self.profile(r)).collect();
         let (merger, _, _) = DistinctMerger::from_profiles_exec(
             &profiles,
             &self.weights,
             self.config.measure,
             self.config.composite,
-            kernel,
             &exec::Executor::sequential(),
             &|_| true,
         );
@@ -739,7 +726,7 @@ impl Distinct {
         let guard = ctl.shared_guard();
         let logical1 = ctl.spent();
         let (merger, matrix_stats, pair_counters) =
-            self.similarity_stage(&profiles, &req.resemblance, &executor, &guard);
+            self.similarity_stage(&profiles, &executor, &guard);
         let similarity_logical = ctl.spent().saturating_sub(logical1);
 
         // Stage 3: agglomerative clustering.
@@ -805,7 +792,6 @@ impl Distinct {
     pub(crate) fn similarity_stage(
         &self,
         profiles: &[Arc<Profile>],
-        kernel: &relgraph::Resemblance,
         executor: &exec::Executor,
         guard: &(dyn Fn(u64) -> bool + Sync),
     ) -> (
@@ -818,7 +804,6 @@ impl Distinct {
             &self.weights,
             self.config.measure,
             self.config.composite,
-            kernel,
             executor,
             guard,
         )

@@ -17,7 +17,7 @@ use crate::config::{CompositeMode, MeasureMode};
 use crate::features::{weighted_pair, Profile};
 use crate::learn::PathWeights;
 use cluster::Merger;
-use relgraph::{NodeId, Resemblance, WeightedSet};
+use relgraph::{NodeId, WeightedSet};
 use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,8 +44,8 @@ pub struct PairCounters {
     /// Units copied from cached tables of a previous build.
     pub cached: u64,
     /// Neighbor sets (forward and backward, per reference and path) the
-    /// indexed pass indexed (0 under [`Resemblance::Exact`] and on
-    /// table-cache hits).
+    /// indexed pass indexed: `2 · refs · paths` on a cold build, 0 on a
+    /// table-cache hit.
     pub interned: u64,
 }
 
@@ -281,56 +281,62 @@ pub struct DistinctMerger {
 }
 
 impl DistinctMerger {
-    /// Build the pairwise tables from reference profiles with the exact
-    /// kernel — the canonical reference for tests and oracles.
-    pub fn from_profiles(
-        profiles: &[Profile],
+    /// Build the pairwise tables pair by pair with the exact kernel
+    /// ([`weighted_pair`]), sequentially. This is the differential
+    /// reference: [`DistinctMerger::from_profiles_exec`] must build the
+    /// same tables bit for bit, and the tests compare the two.
+    pub fn from_profiles<P: Borrow<Profile>>(
+        profiles: &[P],
         weights: &PathWeights,
         measure: MeasureMode,
         composite: CompositeMode,
     ) -> Self {
-        Self::from_profiles_exec(
-            profiles,
-            weights,
+        let n = profiles.len();
+        let mut resem = vec![vec![0.0; n]; n];
+        let mut dwalk = vec![vec![0.0; n]; n];
+        for i in 0..n {
+            for j in i + 1..n {
+                let (r, dij, dji) =
+                    weighted_pair(profiles[i].borrow(), profiles[j].borrow(), weights);
+                resem[i][j] = r;
+                resem[j][i] = r;
+                dwalk[i][j] = dij;
+                dwalk[j][i] = dji;
+            }
+        }
+        DistinctMerger {
+            resem,
+            dwalk,
+            sizes: vec![1; n],
             measure,
             composite,
-            &Resemblance::Exact,
-            &exec::Executor::sequential(),
-            &|_| true,
-        )
-        .0
-        // guard is the constant true closure above, so the build can never be refused
-        .expect("permissive guard never stops the matrix build")
+            n,
+        }
     }
 
-    /// Like [`DistinctMerger::from_profiles`], but computes the O(n²)
-    /// pairwise feature tables **in parallel** — this is the
-    /// similarity-matrix hot path of resolution. Rows of the upper
-    /// triangle fan out in chunks and commit in row order, and the tables
-    /// are bit-identical for any thread count *and either kernel*:
+    /// Build the pairwise tables **in parallel** — the similarity-matrix
+    /// hot path of resolution. It first indexes, per join path, every
+    /// reference's forward and backward set by node, then fills each row
+    /// `i` of the upper triangle in one pass over the postings of `i`'s
+    /// nodes (see `RowScratch::fill_row`), so only units whose sets share
+    /// a node are evaluated, with the exact kernels' accumulation order.
+    /// Rows fan out in chunks and commit in row order, so the tables are
+    /// bit-identical to [`DistinctMerger::from_profiles`] at any thread
+    /// count.
     ///
-    /// * [`Resemblance::Exact`] runs the merge-join kernels for every
-    ///   pair ([`weighted_pair`]);
-    /// * [`Resemblance::Pruned`] first indexes, per join path, every
-    ///   reference's forward and backward set by node, then fills each
-    ///   row `i` in one pass over the postings of `i`'s nodes (see
-    ///   `RowScratch::fill_row`), so only units whose sets share a node
-    ///   are evaluated, with the exact kernels' accumulation order.
-    ///
-    /// `guard` is charged with the pair count of each row chunk (and, on
-    /// the indexed path, with the set count of each path index); if it
-    /// trips, pending work is abandoned and `None` is returned — a
-    /// partially filled matrix would silently bias the clustering toward
-    /// whichever pairs happened to be computed. The [`exec::ParStats`]
-    /// records how far the stage got either way (tasks are pairs), and the
-    /// returned [`PairCounters`] record how many kernel units were pruned
-    /// (zeroed on an interrupted build, like the tables).
+    /// `guard` is charged with the set count of each path index and the
+    /// pair count of each row chunk; if it trips, pending work is
+    /// abandoned and `None` is returned — a partially filled matrix would
+    /// silently bias the clustering toward whichever pairs happened to be
+    /// computed. The [`exec::ParStats`] records how far the stage got
+    /// either way (tasks are pairs), and the returned [`PairCounters`]
+    /// record how many kernel units were pruned (zeroed on an interrupted
+    /// build, like the tables).
     pub fn from_profiles_exec<P>(
         profiles: &[P],
         weights: &PathWeights,
         measure: MeasureMode,
         composite: CompositeMode,
-        kernel: &Resemblance,
         executor: &exec::Executor,
         guard: &(dyn Fn(u64) -> bool + Sync),
     ) -> (Option<Self>, exec::ParStats, PairCounters)
@@ -344,36 +350,27 @@ impl DistinctMerger {
         let tripped = AtomicBool::new(false);
 
         // The indexed pass needs every path's index before any row runs.
-        let (indexes, index_stats) = match kernel {
-            Resemblance::Exact => (None, exec::ParStats::default()),
-            Resemblance::Pruned => {
-                let path_idx: Vec<usize> = (0..n_paths).collect();
-                let (built, stats) = executor.par_map_guarded(
-                    &path_idx,
-                    |_, &p| {
-                        if guard(2 * n as u64) {
-                            Some(PathIndex::build(profiles, p))
-                        } else {
-                            tripped.store(true, Ordering::Relaxed);
-                            None
-                        }
-                    },
-                    || tripped.load(Ordering::Relaxed),
-                );
-                let built: Option<Vec<PathIndex>> = built.into_iter().collect();
-                match built {
-                    Some(built) => (Some(built), stats),
-                    None => {
-                        let stats = exec::ParStats {
-                            tasks: n_pairs,
-                            completed: 0,
-                            stopped: true,
-                            ..stats
-                        };
-                        return (None, stats, PairCounters::default());
-                    }
+        let path_idx: Vec<usize> = (0..n_paths).collect();
+        let (built, index_stats) = executor.par_map_guarded(
+            &path_idx,
+            |_, &p| {
+                if guard(2 * n as u64) {
+                    Some(PathIndex::build(profiles, p))
+                } else {
+                    tripped.store(true, Ordering::Relaxed);
+                    None
                 }
-            }
+            },
+            || tripped.load(Ordering::Relaxed),
+        );
+        let Some(indexes) = built.into_iter().collect::<Option<Vec<PathIndex>>>() else {
+            let stats = exec::ParStats {
+                tasks: n_pairs,
+                completed: 0,
+                stopped: true,
+                ..index_stats
+            };
+            return (None, stats, PairCounters::default());
         };
 
         let (chunks, mut stats) = executor.par_chunks(
@@ -386,26 +383,10 @@ impl DistinctMerger {
                 }
                 let mut cells = Vec::with_capacity(pairs);
                 let mut exact_units = 0u64;
-                match &indexes {
-                    None => {
-                        for i in rows {
-                            let pi = profiles[i].borrow();
-                            cells.extend(
-                                profiles[i + 1..]
-                                    .iter()
-                                    .map(|pj| weighted_pair(pi, pj.borrow(), weights)),
-                            );
-                        }
-                        exact_units = (pairs * n_paths) as u64;
-                    }
-                    Some(indexes) => {
-                        // distinct-lint: scratch(per row chunk: every row's fill leaves the accumulators zeroed for the next row, and the chunk drops them)
-                        let mut scratch = RowScratch::new(n);
-                        for i in rows {
-                            exact_units +=
-                                scratch.fill_row(profiles, indexes, weights, i, &mut cells);
-                        }
-                    }
+                // distinct-lint: scratch(per row chunk: every row's fill leaves the accumulators zeroed for the next row, and the chunk drops them)
+                let mut scratch = RowScratch::new(n);
+                for i in rows {
+                    exact_units += scratch.fill_row(profiles, &indexes, weights, i, &mut cells);
                 }
                 Some((cells, exact_units))
             },
@@ -447,7 +428,7 @@ impl DistinctMerger {
             pruned: unit_total - exact_units,
             exact: exact_units,
             cached: 0,
-            interned: indexes.as_ref().map_or(0, |ix| (2 * n * ix.len()) as u64),
+            interned: (2 * n * n_paths) as u64,
         };
         (
             Some(DistinctMerger {
@@ -731,28 +712,22 @@ mod tests {
             CompositeMode::Geometric,
         );
         for threads in [2usize, 5, 8] {
-            for kernel in [Resemblance::Exact, Resemblance::default()] {
-                let (m, stats, counters) = DistinctMerger::from_profiles_exec(
-                    &profiles,
-                    &weights(),
-                    MeasureMode::Combined,
-                    CompositeMode::Geometric,
-                    &kernel,
-                    &exec::Executor::with_threads(threads),
-                    &|_| true,
-                );
-                let m = m.expect("permissive guard");
-                assert!(!stats.stopped);
-                assert_eq!(stats.completed, 12 * 11 / 2);
-                // One join path in this fixture, so units == pairs.
-                assert_eq!(counters.total, 12 * 11 / 2);
-                assert_eq!(counters.pruned + counters.exact, counters.total);
-                if kernel == Resemblance::Exact {
-                    assert_eq!(counters.pruned, 0);
-                }
-                assert_eq!(m.resem, reference.resem, "threads={threads} {kernel:?}");
-                assert_eq!(m.dwalk, reference.dwalk, "threads={threads} {kernel:?}");
-            }
+            let (m, stats, counters) = DistinctMerger::from_profiles_exec(
+                &profiles,
+                &weights(),
+                MeasureMode::Combined,
+                CompositeMode::Geometric,
+                &exec::Executor::with_threads(threads),
+                &|_| true,
+            );
+            let m = m.expect("permissive guard");
+            assert!(!stats.stopped);
+            assert_eq!(stats.completed, 12 * 11 / 2);
+            // One join path in this fixture, so units == pairs.
+            assert_eq!(counters.total, 12 * 11 / 2);
+            assert_eq!(counters.pruned + counters.exact, counters.total);
+            assert_eq!(m.resem, reference.resem, "threads={threads}");
+            assert_eq!(m.dwalk, reference.dwalk, "threads={threads}");
         }
     }
 
@@ -786,7 +761,6 @@ mod tests {
             &weights(),
             MeasureMode::Combined,
             CompositeMode::Geometric,
-            &Resemblance::default(),
             &exec::Executor::with_threads(3),
             &|_| true,
         );
@@ -853,21 +827,18 @@ mod tests {
     #[test]
     fn tripped_matrix_build_returns_none() {
         let profiles = two_groups();
-        for kernel in [Resemblance::Exact, Resemblance::default()] {
-            let (m, stats, counters) = DistinctMerger::from_profiles_exec(
-                &profiles,
-                &weights(),
-                MeasureMode::Combined,
-                CompositeMode::Geometric,
-                &kernel,
-                &exec::Executor::sequential(),
-                &|_| false,
-            );
-            assert!(m.is_none(), "{kernel:?}");
-            assert!(stats.stopped);
-            assert_eq!(stats.completed, 0);
-            assert_eq!(counters, PairCounters::default());
-        }
+        let (m, stats, counters) = DistinctMerger::from_profiles_exec(
+            &profiles,
+            &weights(),
+            MeasureMode::Combined,
+            CompositeMode::Geometric,
+            &exec::Executor::sequential(),
+            &|_| false,
+        );
+        assert!(m.is_none());
+        assert!(stats.stopped);
+        assert_eq!(stats.completed, 0);
+        assert_eq!(counters, PairCounters::default());
     }
 
     #[test]
@@ -990,7 +961,6 @@ mod tests {
                     &weights,
                     MeasureMode::Combined,
                     CompositeMode::Geometric,
-                    &Resemblance::Pruned,
                     &exec::Executor::with_threads(threads),
                     &|_| true,
                 );
@@ -1015,6 +985,7 @@ mod tests {
                 prop_assert_eq!(counters.total, total);
                 prop_assert_eq!(counters.exact, touching);
                 prop_assert_eq!(counters.pruned, total - touching);
+                prop_assert_eq!(counters.interned, (2 * n * weights.resem.len()) as u64);
             }
         }
     }

@@ -16,7 +16,6 @@
 //! ```
 
 use crate::control::RunControl;
-use relgraph::Resemblance;
 use relstore::TupleRef;
 use std::path::Path;
 use std::time::Duration;
@@ -76,12 +75,11 @@ pub struct ExecReport {
     pub pairs_total: u64,
     /// Kernel units the indexed pass never evaluated because the pair's
     /// forward and backward sets share no node along the path, so every
-    /// kernel value is the exact kernels' zero. Always `0` under
-    /// [`relgraph::Resemblance::Exact`]. Invariant: `pairs_pruned +
+    /// kernel value is the exact kernels' zero. Invariant: `pairs_pruned +
     /// pairs_exact + pairs_cached == pairs_total`.
     pub pairs_pruned: u64,
-    /// Kernel units evaluated: under the indexed pass, units whose sets
-    /// share at least one node; under `Exact`, every unit.
+    /// Kernel units the indexed pass evaluated: units whose sets share at
+    /// least one node along the path.
     pub pairs_exact: u64,
     /// Kernel units copied verbatim from the tables of a previous resolve
     /// of the same name (incremental requests only; a cold run reports
@@ -97,10 +95,9 @@ pub struct ExecReport {
     /// invalidated (incremental requests only, `0` for batch runs).
     pub names_affected: u64,
     /// Neighbor sets the indexed similarity pass indexed during this run:
-    /// a forward and a backward set per reference and join path (`0`
-    /// under [`relgraph::Resemblance::Exact`]). A warm incremental resolve
-    /// that re-uses its cached tables reports `0` — the regression guard
-    /// for rebuilding the index on every call.
+    /// a forward and a backward set per reference and join path. A warm
+    /// incremental resolve that re-uses its cached tables reports `0` —
+    /// the regression guard for rebuilding the index on every call.
     pub arena_rows_interned: u64,
 }
 
@@ -138,7 +135,6 @@ pub struct ResolveRequest<'a> {
     pub(crate) control: Option<&'a RunControl>,
     pub(crate) threads: Option<usize>,
     pub(crate) run_dir: Option<&'a Path>,
-    pub(crate) resemblance: Resemblance,
     pub(crate) incremental: bool,
 }
 
@@ -221,24 +217,6 @@ impl<'a> ResolveRequest<'a> {
         self
     }
 
-    /// Select how this run builds its similarity tables. The default is
-    /// [`Resemblance::Pruned`], the indexed pass — bit-identical results
-    /// to [`Resemblance::Exact`], which stays one call away as the
-    /// differential reference:
-    ///
-    /// ```text
-    /// let req = ResolveRequest::new(&refs).similarity(Resemblance::Exact);
-    /// ```
-    pub fn similarity(mut self, kernel: Resemblance) -> Self {
-        self.resemblance = kernel;
-        self
-    }
-
-    /// The similarity kernel this request will run with.
-    pub fn similarity_kernel(&self) -> Resemblance {
-        self.resemblance
-    }
-
     /// The run directory set by [`ResolveRequest::resume`], if any.
     pub fn run_dir(&self) -> Option<&Path> {
         self.run_dir
@@ -314,17 +292,6 @@ mod tests {
         assert!(!bare.is_constrained());
         assert!(bare.min_sim.is_none());
         assert!(bare.threads.is_none());
-        // The fast path is the default path.
-        assert_eq!(bare.similarity_kernel(), Resemblance::Pruned);
-    }
-
-    #[test]
-    fn similarity_builder_selects_the_kernel() {
-        let refs = vec![TupleRef::new(RelId(0), TupleId(0))];
-        let req = ResolveRequest::new(&refs).similarity(Resemblance::Exact);
-        assert_eq!(req.similarity_kernel(), Resemblance::Exact);
-        let req = req.similarity(Resemblance::Pruned);
-        assert_eq!(req.similarity_kernel(), Resemblance::Pruned);
     }
 
     #[test]

@@ -515,8 +515,7 @@ impl Distinct {
                 // Stage 2: the pairwise similarity matrix, committed only
                 // when every profile behind it is real.
                 let logical1 = ctl.spent();
-                let (built, stats, counters) =
-                    self.similarity_stage(&profiles, &req.resemblance, &executor, &guard);
+                let (built, stats, counters) = self.similarity_stage(&profiles, &executor, &guard);
                 matrix_stats = stats;
                 pair_counters = counters;
                 similarity_logical = ctl.spent().saturating_sub(logical1);

@@ -718,10 +718,9 @@ impl Distinct {
             units_cached = pair_units - units_exact;
             interned = 0;
         } else {
-            // Cold: build the tables through the configured kernel, then
+            // Cold: build the tables with the indexed pass, then
             // cache them so the next incremental resolve is warm.
-            let (merger, stats, counters) =
-                self.similarity_stage(&profiles, &req.resemblance, &executor, &guard);
+            let (merger, stats, counters) = self.similarity_stage(&profiles, &executor, &guard);
             let merger = merger?;
             let (r, d) = merger.to_tables();
             resem = r.to_vec();

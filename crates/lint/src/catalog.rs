@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Lint identifiers. `D000` is the meta-lint about the suppression
-/// machinery itself; `D003`, `D004`, `D006`, `D007` and `D105` guard the
+/// machinery itself; `D003`, `D004`, `D006` and `D105` guard the
 /// project invariants with per-file token scans, and `D101`–`D104` plus
 /// the dataflow passes `D106`–`D109` and the allocation/copy-discipline
 /// passes `D110`–`D113` are the interprocedural (call-graph-backed)
@@ -15,7 +15,6 @@ pub enum LintId {
     D003,
     D004,
     D006,
-    D007,
     D101,
     D102,
     D103,
@@ -43,12 +42,11 @@ pub enum Severity {
 
 impl LintId {
     /// All registered lints, in ID order.
-    pub const ALL: [LintId; 18] = [
+    pub const ALL: [LintId; 17] = [
         LintId::D000,
         LintId::D003,
         LintId::D004,
         LintId::D006,
-        LintId::D007,
         LintId::D101,
         LintId::D102,
         LintId::D103,
@@ -77,7 +75,6 @@ impl LintId {
             LintId::D003 => "D003",
             LintId::D004 => "D004",
             LintId::D006 => "D006",
-            LintId::D007 => "D007",
             LintId::D101 => "D101",
             LintId::D102 => "D102",
             LintId::D103 => "D103",
@@ -101,7 +98,6 @@ impl LintId {
             LintId::D003 => Severity::Deny,
             LintId::D004 => Severity::Deny,
             LintId::D006 => Severity::Warn,
-            LintId::D007 => Severity::Warn,
             LintId::D101 => Severity::Deny,
             LintId::D102 => Severity::Warn,
             LintId::D103 => Severity::Deny,
@@ -125,7 +121,6 @@ impl LintId {
             LintId::D003 => "raw thread or channel construction outside crates/exec",
             LintId::D004 => "direct wall-clock read outside RunControl internals",
             LintId::D006 => "lossy float cast or f32 reduction in numeric code",
-            LintId::D007 => "public API item without a doc comment in crates/core",
             LintId::D101 => "panic path reachable from resolve()/train() on the call graph",
             LintId::D102 => "unsanitized probability arithmetic flowing to a cluster sink",
             LintId::D103 => "inconsistent lock order or lock held across a channel send",
@@ -178,15 +173,6 @@ impl LintId {
                  breaks the 1e-9 oracle-differential tolerance. Fix: stay in \
                  f64; cast only at presentation boundaries (and allow with a \
                  reason there)."
-            }
-            LintId::D007 => {
-                "crates/core is the public API surface of the system; every \
-                 public item there must carry a doc comment so the request/ \
-                 outcome vocabulary (ResolveRequest, Degraded, ExecReport...) \
-                 stays discoverable. rustc's missing_docs warning already \
-                 guards rustdoc-visible items; this pass keeps the invariant \
-                 in the same report as the rest and covers macro-generated \
-                 gaps rustc misses."
             }
             LintId::D101 => {
                 "A panic site (unwrap/expect/panic!/literal index) in library \

@@ -211,15 +211,6 @@ impl CrateGraph {
         Ok(order)
     }
 
-    /// Crates with no workspace-internal dependencies (the foundation layer).
-    pub fn foundations(&self) -> Vec<&str> {
-        self.nodes
-            .values()
-            .filter(|n| n.deps.is_empty())
-            .map(|n| n.dir.as_str())
-            .collect()
-    }
-
     /// Human-readable report for the `graph` subcommand.
     pub fn render(&self) -> String {
         let mut s = String::new();

@@ -10,7 +10,7 @@
 //! the crate topology for the `graph` subcommand and the layering
 //! self-checks.
 //!
-//! The per-file passes ([`passes`]: D003, D004, D006, D007, D105) run
+//! The per-file passes ([`passes`]: D003, D004, D006, D105) run
 //! next to the interprocedural ones: [`parse`] recovers function items
 //! from the token stream, [`symbols`] resolves call sites across crates,
 //! [`callgraph`] runs reachability (D101/D104), [`taint`]/[`locks`] add

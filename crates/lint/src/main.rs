@@ -50,7 +50,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-distinct-lint: workspace invariant checks (D003..D007 and D105 per-file, D101..D113 interprocedural)
+distinct-lint: workspace invariant checks (D003, D004, D006 and D105 per-file, D101..D113 interprocedural)
 
 usage: cargo run -p lint -- <command>
 

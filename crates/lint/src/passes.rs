@@ -1,4 +1,4 @@
-//! The per-file project lints (D003, D004, D006, D007, D105). Each pass
+//! The per-file project lints (D003, D004, D006, D105). Each pass
 //! walks one [`FileCtx`] token stream.
 //!
 //! These are deliberately *project-specific* heuristics, not a type
@@ -9,7 +9,7 @@
 
 use crate::catalog::{Finding, LintId};
 use crate::lexer::TokKind;
-use crate::model::{FileCtx, Role};
+use crate::model::FileCtx;
 
 /// Crates whose numeric code must stay in f64 (D006).
 pub const NUMERIC_CRATES: [&str; 5] = ["core", "cluster", "svm", "relgraph", "eval"];
@@ -33,7 +33,6 @@ pub fn run_file(ctx: &FileCtx) -> Vec<Finding> {
     d003_raw_threads(ctx, &mut out);
     d004_wall_clock(ctx, &mut out);
     d006_lossy_floats(ctx, &mut out);
-    d007_missing_docs(ctx, &mut out);
     d105_raw_persistence(ctx, &mut out);
     out.sort_by_key(|f| (f.line, f.id));
     out
@@ -299,126 +298,10 @@ fn d006_lossy_floats(ctx: &FileCtx, out: &mut Vec<Finding>) {
     }
 }
 
-// ---------------------------------------------------------------- D007 --
-
-/// Public API items in crates/core without doc comments.
-fn d007_missing_docs(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    if ctx.crate_name != "core" || ctx.role != Role::Library {
-        return;
-    }
-    let toks = &ctx.toks;
-    let n = toks.len();
-    let inside_fn_body = |i: usize| {
-        ctx.fns
-            .iter()
-            .any(|f| f.body_start < i && i < f.end && f.body_start != f.end)
-    };
-    for i in 0..n {
-        if ctx.in_test(i) || !toks[i].is_ident("pub") || inside_fn_body(i) {
-            continue;
-        }
-        let j = ctx.next_code(i);
-        if j >= n {
-            continue;
-        }
-        // `pub(crate)` etc. are not public API.
-        if toks[j].is_punct('(') {
-            continue;
-        }
-        let mut k = j;
-        if toks[k].is_ident("unsafe") || toks[k].is_ident("async") || toks[k].is_ident("const") {
-            // `pub const fn` — look one further for the item keyword, but
-            // `pub const NAME` is itself an item.
-            let k2 = ctx.next_code(k);
-            if k2 < n && toks[k2].is_ident("fn") {
-                k = k2;
-            }
-        }
-        let item = toks[k].text.as_str();
-        if !matches!(
-            item,
-            "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static" | "mod"
-        ) {
-            continue;
-        }
-        // Item name for the message.
-        let name_idx = ctx.next_code(k);
-        let name = toks
-            .get(name_idx)
-            .map(|t| t.text.clone())
-            .unwrap_or_default();
-        // `pub mod x;` — the module file documents itself with `//!` inner
-        // docs, which rustc's missing_docs already enforces and this
-        // declaration-site scan cannot see. Only inline `pub mod x { .. }`
-        // bodies are checked here.
-        if item == "mod" {
-            let after_name = ctx.next_code(name_idx);
-            if after_name < n && toks[after_name].is_punct(';') {
-                continue;
-            }
-        }
-        // Walk backwards over attributes and plain comments to find a doc
-        // comment.
-        let mut documented = false;
-        let mut j = i;
-        'back: while let Some(p) = {
-            let mut q = j;
-            let mut r = None;
-            while q > 0 {
-                q -= 1;
-                if toks[q].kind != TokKind::Comment {
-                    r = Some(q);
-                    break;
-                }
-            }
-            r
-        } {
-            match toks[p].kind {
-                TokKind::DocComment => {
-                    documented = true;
-                    break 'back;
-                }
-                TokKind::Punct if toks[p].is_punct(']') => {
-                    // Skip the attribute `#[ ... ]` backwards.
-                    let mut depth = 0usize;
-                    let mut q = p;
-                    loop {
-                        if toks[q].is_punct(']') {
-                            depth += 1;
-                        } else if toks[q].is_punct('[') {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        if q == 0 {
-                            break 'back;
-                        }
-                        q -= 1;
-                    }
-                    // Expect `#` before the `[`.
-                    if q == 0 || !toks[q - 1].is_punct('#') {
-                        break 'back;
-                    }
-                    j = q - 1;
-                }
-                _ => break 'back,
-            }
-        }
-        if !documented {
-            out.push(finding(
-                ctx,
-                LintId::D007,
-                toks[i].line,
-                format!("public `{item} {name}` has no doc comment"),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Role;
 
     fn lib(src: &str) -> Vec<Finding> {
         run_file(&FileCtx::new(
@@ -483,27 +366,5 @@ mod tests {
     fn d006_as_f32() {
         let f = lib("/// d\npub fn f(x: f64) -> f64 { (x as f32) as f64 }");
         assert!(ids(&f).iter().any(|(id, _)| *id == LintId::D006), "{f:?}");
-    }
-
-    #[test]
-    fn d007_missing_doc_on_pub_item() {
-        let f = lib("pub fn naked() {}\n/// Documented.\npub fn fine() {}");
-        let hits: Vec<_> = ids(&f)
-            .into_iter()
-            .filter(|(id, _)| *id == LintId::D007)
-            .collect();
-        assert_eq!(hits, vec![(LintId::D007, 1)], "{f:?}");
-    }
-
-    #[test]
-    fn d007_attrs_between_doc_and_item_are_ok() {
-        let f = lib("/// Documented.\n#[derive(Debug, Clone)]\npub struct S { x: u32 }");
-        assert!(f.iter().all(|f| f.id != LintId::D007), "{f:?}");
-    }
-
-    #[test]
-    fn d007_pub_crate_is_exempt() {
-        let f = lib("pub(crate) fn internal() {}");
-        assert!(f.iter().all(|f| f.id != LintId::D007), "{f:?}");
     }
 }

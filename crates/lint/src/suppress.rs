@@ -278,7 +278,7 @@ mod tests {
     fn unknown_id_is_d000() {
         // Retired IDs are unknown too: an allow naming one is loud, not
         // silently inert.
-        for id in ["D042", "D001", "D002", "D005"] {
+        for id in ["D042", "D001", "D002", "D005", "D007"] {
             let c = ctx(&format!(
                 "x(); // distinct-lint: allow({id}, reason=\"nope\")"
             ));

@@ -11,10 +11,11 @@
 //!   connection-strength-weighted Jaccard of Definition 2;
 //! * [`directed_walk`] — random-walk probability from one reference to
 //!   another along a path and its reverse (paper §2.4), a merge-join over
-//!   sorted forward and backward sets;
-//! * [`Resemblance`] — the similarity-build selector ([`Resemblance::Exact`]
-//!   pair by pair vs the default [`Resemblance::Pruned`] inverted-index
-//!   pass), which computes the same bits either way.
+//!   sorted forward and backward sets.
+//!
+//! These are pair-at-a-time kernels. The engine fills a name's tables in
+//! one inverted-index pass over the sets that yields the same bits, and
+//! tests compare that pass against these kernels.
 
 #![warn(missing_docs)]
 
@@ -24,6 +25,6 @@ pub mod propagate;
 pub mod walk;
 
 pub use graph::{LinkGraph, NodeId};
-pub use neighbors::{Resemblance, WeightedSet};
+pub use neighbors::WeightedSet;
 pub use propagate::{propagate, propagate_blocked, propagate_blocked_guarded, Propagation};
 pub use walk::directed_walk;

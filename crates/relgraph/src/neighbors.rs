@@ -13,49 +13,13 @@
 use crate::graph::NodeId;
 use relstore::FxHashMap;
 
-/// How the similarity stage builds a name's pairwise tables.
-///
-/// Both variants compute the *same function* — Definition 2 and the §2.4
-/// walk, bit for bit. They differ only in how the work is scheduled:
-///
-/// * [`Resemblance::Exact`] runs the merge-join kernels for every
-///   (pair, path) unit directly (the canonical reference, one call away
-///   for differential tests);
-/// * [`Resemblance::Pruned`] indexes every reference's forward and
-///   backward sets by node and fills each row of the tables in one pass
-///   over those postings, so a unit whose supports share no node is never
-///   touched. It accumulates every sum in the order the merge-join does,
-///   so the tables — and hence every downstream merge decision — are
-///   bit-identical to `Exact`. The oracle differential suite enforces it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Resemblance {
-    /// Evaluate the exact kernels for every pair.
-    Exact,
-    /// Fill the tables in one inverted-index pass (the default).
-    #[default]
-    Pruned,
-}
-
-impl Resemblance {
-    /// The weighted Jaccard resemblance of Definition 2. Pair-at-a-time
-    /// entry point: both variants run the exact merge-join kernel.
-    pub fn weighted(&self, a: &WeightedSet, b: &WeightedSet) -> f64 {
-        exact_resemblance(a, b)
-    }
-
-    /// The unweighted Jaccard (ablation baseline), via the exact kernel.
-    pub fn unweighted(&self, a: &WeightedSet, b: &WeightedSet) -> f64 {
-        exact_jaccard(a, b)
-    }
-}
-
 /// A weighted set of nodes (neighbor tuples with connection strengths).
 ///
 /// Stored as `(node, weight)` pairs sorted by node id with strictly
 /// positive weights. The sorted representation makes every float
 /// accumulation over the set (totals, resemblance numerators) run in a
 /// fixed node order regardless of how the set was built — hash-map
-/// insertion history can never perturb low-order bits (lint D001) — and
+/// insertion history can never perturb low-order bits (lint D107) — and
 /// turns intersection into a cache-friendly merge-join.
 #[derive(Debug, Clone, Default)]
 pub struct WeightedSet {
@@ -188,83 +152,66 @@ impl WeightedSet {
     /// // Σ min over ∩ = 0.25; Σ max over ∪ = 0.5 + 0.5 + 0.75 = 1.75.
     /// assert!((a.resemblance(&b) - 0.25 / 1.75).abs() < 1e-12);
     /// ```
-    ///
-    /// Thin wrapper over [`Resemblance::Exact`], kept for the many
-    /// pair-at-a-time call sites; the similarity stage dispatches through
-    /// [`Resemblance`] instead.
+    // O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair
     pub fn resemblance(&self, other: &WeightedSet) -> f64 {
-        exact_resemblance(self, other)
+        debug_assert!(is_sorted(&self.weights), "resemblance lhs not sorted");
+        debug_assert!(is_sorted(&other.weights), "resemblance rhs not sorted");
+        if self.is_empty() || other.is_empty() {
+            return 0.0;
+        }
+        // Merge-join of the two sorted pair lists: Σ min accumulates in
+        // ascending node order, bit-identical however the sets were built.
+        let (aw, bw) = (&self.weights, &other.weights);
+        let mut num = 0.0; // Σ min over intersection
+        let (mut i, mut j) = (0, 0);
+        while i < aw.len() && j < bw.len() {
+            match aw[i].0.cmp(&bw[j].0) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    num += aw[i].1.min(bw[j].1);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        // Σ max over the union = total_A + total_B − Σ min over the
+        // intersection (min + max = w_A + w_B pointwise on the intersection).
+        let den = self.total() + other.total() - num;
+        debug_assert!(den >= num - 1e-12);
+        if den <= 0.0 {
+            0.0
+        } else {
+            num / den
+        }
     }
 
     /// Unweighted Jaccard (|A ∩ B| / |A ∪ B|) — the ablation baseline that
-    /// ignores connection strengths. Thin wrapper over the exact kernel
-    /// (see [`Resemblance`]).
+    /// ignores connection strengths.
+    // O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair
     pub fn jaccard_unweighted(&self, other: &WeightedSet) -> f64 {
-        exact_jaccard(self, other)
-    }
-}
-
-/// The exact merge-join resemblance kernel behind both
-/// [`WeightedSet::resemblance`] and [`Resemblance::weighted`].
-// O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair
-fn exact_resemblance(a: &WeightedSet, b: &WeightedSet) -> f64 {
-    debug_assert!(is_sorted(&a.weights), "resemblance lhs not sorted");
-    debug_assert!(is_sorted(&b.weights), "resemblance rhs not sorted");
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    // Merge-join of the two sorted pair lists: Σ min accumulates in
-    // ascending node order, bit-identical however the sets were built.
-    let (aw, bw) = (&a.weights, &b.weights);
-    let mut num = 0.0; // Σ min over intersection
-    let (mut i, mut j) = (0, 0);
-    while i < aw.len() && j < bw.len() {
-        match aw[i].0.cmp(&bw[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                num += aw[i].1.min(bw[j].1);
-                i += 1;
-                j += 1;
+        if self.is_empty() || other.is_empty() {
+            return 0.0;
+        }
+        let (aw, bw) = (&self.weights, &other.weights);
+        let mut inter = 0usize;
+        let (mut i, mut j) = (0, 0);
+        while i < aw.len() && j < bw.len() {
+            match aw[i].0.cmp(&bw[j].0) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    inter += 1;
+                    i += 1;
+                    j += 1;
+                }
             }
         }
+        let union = self.len() + other.len() - inter;
+        let j = inter as f64 / union as f64;
+        debug_assert!((0.0..=1.0).contains(&j), "jaccard out of range: {j}");
+        j
     }
-    // Σ max over the union = total_A + total_B − Σ min over the
-    // intersection (min + max = w_A + w_B pointwise on the intersection).
-    let den = a.total() + b.total() - num;
-    debug_assert!(den >= num - 1e-12);
-    if den <= 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
-/// The exact unweighted Jaccard kernel behind
-/// [`WeightedSet::jaccard_unweighted`] and [`Resemblance::unweighted`].
-// O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair
-fn exact_jaccard(a: &WeightedSet, b: &WeightedSet) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let (aw, bw) = (&a.weights, &b.weights);
-    let mut inter = 0usize;
-    let (mut i, mut j) = (0, 0);
-    while i < aw.len() && j < bw.len() {
-        match aw[i].0.cmp(&bw[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let union = a.len() + b.len() - inter;
-    let j = inter as f64 / union as f64;
-    debug_assert!((0.0..=1.0).contains(&j), "jaccard out of range: {j}");
-    j
 }
 
 impl FromIterator<(NodeId, f64)> for WeightedSet {
@@ -343,23 +290,6 @@ mod tests {
         assert!((a.total() - 2.0).abs() < 1e-12);
         a.scale(0.5);
         assert!((a.total() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kernel_dispatch_agrees_with_wrappers() {
-        let a = set(&[(1, 0.5), (2, 0.5)]);
-        let b = set(&[(2, 0.25), (3, 0.75)]);
-        assert_eq!(Resemblance::default(), Resemblance::Pruned);
-        for kernel in [Resemblance::Exact, Resemblance::Pruned] {
-            assert_eq!(
-                kernel.weighted(&a, &b).to_bits(),
-                a.resemblance(&b).to_bits()
-            );
-            assert_eq!(
-                kernel.unweighted(&a, &b).to_bits(),
-                a.jaccard_unweighted(&b).to_bits()
-            );
-        }
     }
 
     proptest! {

@@ -36,15 +36,6 @@ impl Propagation {
         self.forward.len()
     }
 
-    /// Total forward mass (≤ 1; < 1 only if some walk dead-ends, e.g. a
-    /// null foreign key). Summed in ascending node order so the value is
-    /// independent of the map's insertion history (lint D001).
-    pub fn total_forward(&self) -> f64 {
-        let mut terms: Vec<(NodeId, f64)> = self.forward.iter().map(|(&n, &p)| (n, p)).collect();
-        terms.sort_unstable_by_key(|&(n, _)| n);
-        terms.iter().map(|&(_, p)| p).sum()
-    }
-
     /// True if no neighbor tuples were reached.
     pub fn is_empty(&self) -> bool {
         self.forward.is_empty()
@@ -53,7 +44,7 @@ impl Propagation {
     /// The forward and backward maps as sorted [`crate::WeightedSet`]s,
     /// moving the maps rather than cloning them. Construction sorts by
     /// node id, so every accumulation over the sets is independent of the
-    /// maps' insertion history (lint D001).
+    /// maps' insertion history (lint D107).
     pub fn into_sets(self) -> (crate::WeightedSet, crate::WeightedSet) {
         (
             crate::WeightedSet::from_map(self.forward),
@@ -136,7 +127,7 @@ pub fn propagate_blocked_guarded(
         // Expand the frontier in ascending node order: several sources can
         // deposit mass on the same target, and f64 `+=` is order-sensitive,
         // so hash-order expansion would make the low-order bits of `next`
-        // depend on the frontier map's insertion history (lint D001).
+        // depend on the frontier map's insertion history (lint D107).
         expand.clear();
         expand.extend(frontier.iter().map(|(&u, &p)| (u, p)));
         expand.sort_unstable_by_key(|&(u, _)| u);
@@ -285,7 +276,7 @@ mod tests {
         let path = coauthor_path(&c);
         // Origin: (w, paper1) record.
         let prop = propagate(&g, &c, &path, publish_tuple(&c, 0));
-        assert!((prop.total_forward() - 1.0).abs() < 1e-12);
+        assert!((prop.clone().into_sets().0.total() - 1.0).abs() < 1e-12);
         assert_eq!(prop.neighbor_count(), 3); // w, x, y all author paper 1
         assert!(!prop.is_empty());
     }
@@ -399,7 +390,7 @@ mod tests {
         let path = JoinPath::new(a, vec![JoinStep::forward(fk)], &c).unwrap();
         let prop = propagate(&g, &c, &path, TupleRef::new(a, relstore::TupleId(0)));
         assert!(prop.is_empty());
-        assert_eq!(prop.total_forward(), 0.0);
+        assert_eq!(prop.clone().into_sets().0.total(), 0.0);
     }
 
     #[test]
@@ -419,7 +410,7 @@ mod tests {
             let p = prop.forward[&author_node(&c, &g, name)];
             assert!((p - 1.0 / 3.0).abs() < 1e-12, "{name}: {p}");
         }
-        assert!((prop.total_forward() - 2.0 / 3.0).abs() < 1e-12);
+        assert!((prop.clone().into_sets().0.total() - 2.0 / 3.0).abs() < 1e-12);
         // Unblocked propagation is identical to propagate().
         let unblocked = crate::propagate::propagate_blocked(&g, &c, &path, origin, &[]);
         let plain = propagate(&g, &c, &path, origin);

@@ -24,7 +24,7 @@ use crate::neighbors::WeightedSet;
 /// ascending node order (not hash-map iteration order), because float
 /// addition is not associative and a hash-ordered sum would let insertion
 /// history perturb low-order bits and break the bit-identical-at-any-
-/// thread-count guarantee (lint D001). The result is `-0.0` when either
+/// thread-count guarantee (lint D107). The result is `-0.0` when either
 /// set is empty and `+0.0` plus the sum otherwise — the zero signs the
 /// weighted path sums downstream depend on.
 // O(|A|+|B|) per-pair leaf; DistinctMerger charges the budget per pair

@@ -59,11 +59,7 @@ fn main() {
 
     // Similarity distributions for the Wei Wang refs.
     let truth = &d.truths[0];
-    let profiles: Vec<_> = truth
-        .refs
-        .iter()
-        .map(|&r| (*engine.profile(r)).clone())
-        .collect();
+    let profiles: Vec<_> = truth.refs.iter().map(|&r| engine.profile(r)).collect();
     let merger = distinct::DistinctMerger::from_profiles(
         &profiles,
         engine.weights(),

@@ -13,13 +13,19 @@
 //! * byte-identical final labels and merge-by-merge identical
 //!   dendrograms (ids and sizes exact, similarities within `1e-9`).
 //!
+//! The indexed similarity pass is also held to the sequential exact
+//! build, `DistinctMerger::from_profiles`, over the same profiles: its
+//! tables bit for bit, and the clustering that build yields label for
+//! label and merge for merge.
+//!
 //! On disagreement the failing world is shrunk to a locally minimal
 //! configuration with `datagen::shrink_world` and the test panics with
 //! its JSON — a ready-to-paste regression case.
 
+use cluster::Merger;
 use datagen::{AmbiguousSpec, World, WorldConfig};
 use distinct::{
-    Distinct, DistinctConfig, Resemblance, ResolveRequest, TrainingConfig, WeightingMode,
+    Distinct, DistinctConfig, DistinctMerger, ResolveRequest, TrainingConfig, WeightingMode,
 };
 use oracle::{Composite, Measure, OracleEngine};
 
@@ -65,7 +71,7 @@ fn max_delta(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
 }
 
 /// First cell where two matrices differ in their f64 bit patterns, if any.
-/// Bitwise (not `==`) so a `-0.0` vs `+0.0` drift in the pruned engine's
+/// Bitwise (not `==`) so a `-0.0` vs `+0.0` drift in the indexed pass's
 /// reconstructed zeros fails loudly instead of hiding behind IEEE equality.
 fn first_bit_mismatch(a: &[Vec<f64>], b: &[Vec<f64>]) -> Option<(usize, usize, f64, f64)> {
     for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
@@ -136,10 +142,11 @@ fn check_world(config: &WorldConfig, supervised: bool) -> Result<(), String> {
             engine
                 .set_weights(weights.clone())
                 .map_err(|e| format!("set_weights failed: {e:?}"))?;
-            // Cold runs under the indexed-pass default, so the oracle
+            // Cold runs build with the indexed pass, so the oracle
             // checks below also vet the pass — and its accounting must
             // balance: every scheduled kernel unit is either pruned (its
-            // sets share no node) or evaluated exactly.
+            // sets share no node) or evaluated exactly, and the cold build
+            // indexes a forward and a backward set per reference and path.
             let cold = engine.resolve(&ResolveRequest::new(refs).threads(threads));
             if cold.degraded.is_some() {
                 return Err(format!("unlimited run degraded for `{}`", truth.name));
@@ -148,36 +155,17 @@ fn check_world(config: &WorldConfig, supervised: bool) -> Result<(), String> {
             let n_paths = engine.paths().len() as u64;
             if cold.exec.pairs_total != n_pairs * n_paths
                 || cold.exec.pairs_pruned + cold.exec.pairs_exact != cold.exec.pairs_total
+                || cold.exec.arena_rows_interned != 2 * refs.len() as u64 * n_paths
             {
                 return Err(format!(
                     "`{}` kernel-unit accounting broken (threads={threads}): \
-                     total {} (expected {}), pruned {} + exact {}",
+                     total {} (expected {}), pruned {} + exact {}, {} sets indexed",
                     truth.name,
                     cold.exec.pairs_total,
                     n_pairs * n_paths,
                     cold.exec.pairs_pruned,
-                    cold.exec.pairs_exact
-                ));
-            }
-
-            // Kernel differential: the exact reference path must produce
-            // the same clustering and prune nothing.
-            let exact_req = ResolveRequest::new(refs)
-                .threads(threads)
-                .similarity(Resemblance::Exact);
-            let exact = engine.resolve(&exact_req);
-            if exact.clustering.labels != cold.clustering.labels
-                || exact.clustering.dendrogram.merges() != cold.clustering.dendrogram.merges()
-            {
-                return Err(format!(
-                    "`{}` pruned run differs from the exact kernel (threads={threads})",
-                    truth.name
-                ));
-            }
-            if exact.exec.pairs_pruned != 0 || exact.exec.pairs_exact != exact.exec.pairs_total {
-                return Err(format!(
-                    "`{}` exact kernel claims pruning (threads={threads}): {:?}",
-                    truth.name, exact.exec
+                    cold.exec.pairs_exact,
+                    cold.exec.arena_rows_interned
                 ));
             }
 
@@ -197,22 +185,48 @@ fn check_world(config: &WorldConfig, supervised: bool) -> Result<(), String> {
                 }
             }
 
-            // Losslessness at full precision: the pruned default's stage
-            // tables must be *bit-identical* to the exact kernel's, not
-            // merely within tolerance.
-            let exact_probe = engine.stage_probe_with(refs, &Resemblance::Exact);
-            for (stage, pruned, exact_t) in [
-                ("resemblance", &probe.resemblance, &exact_probe.resemblance),
-                ("walk", &probe.walk, &exact_probe.walk),
-                ("similarity", &probe.similarity, &exact_probe.similarity),
+            // Losslessness at full precision: the stage tables of the
+            // indexed pass must be *bit-identical* to the exact reference
+            // build over the same profiles, not merely within tolerance.
+            let cfg = engine.config();
+            let mut exact = DistinctMerger::from_profiles(
+                &probe.profiles,
+                engine.weights(),
+                cfg.measure,
+                cfg.composite,
+            );
+            let n = refs.len();
+            let mut exact_t = vec![vec![vec![0.0; n]; n]; 3];
+            for i in 0..n {
+                for j in (0..n).filter(|&j| j != i) {
+                    exact_t[0][i][j] = exact.leaf_resemblance(i, j);
+                    exact_t[1][i][j] = exact.leaf_walk(i, j);
+                    exact_t[2][i][j] = exact.similarity(i, j);
+                }
+            }
+            for (stage, indexed, exact_t) in [
+                ("resemblance", &probe.resemblance, &exact_t[0]),
+                ("walk", &probe.walk, &exact_t[1]),
+                ("similarity", &probe.similarity, &exact_t[2]),
             ] {
-                if let Some((i, j, p, e)) = first_bit_mismatch(pruned, exact_t) {
+                if let Some((i, j, p, e)) = first_bit_mismatch(indexed, exact_t) {
                     return Err(format!(
-                        "`{}` pruned {stage}[{i}][{j}] = {p:e} is not bit-identical \
+                        "`{}` indexed {stage}[{i}][{j}] = {p:e} is not bit-identical \
                          to exact {e:e} (threads={threads})",
                         truth.name
                     ));
                 }
+            }
+            // And the exact build clusters exactly as the production run.
+            let reference = cluster::agglomerate(n, &mut exact, min_sim);
+            if reference.labels != cold.clustering.labels
+                || reference.dendrogram.merges() != cold.clustering.dendrogram.merges()
+            {
+                return Err(format!(
+                    "`{}` production run differs from the exact build's clustering \
+                     (threads={threads})",
+                    truth.name
+                ));
             }
 
             // Warm: resolve again off the populated cache — byte-identical.
@@ -340,7 +354,7 @@ fn pruned_kernel_prunes_on_a_real_world() {
     );
 }
 
-/// Regression for the sorted-iteration (lint D001) conversion of
+/// Regression for the sorted-iteration (lint D107) conversion of
 /// `WeightedSet`: the resemblance of two sets must be **bit-identical**
 /// however their backing maps were populated — f64 addition is not
 /// associative, and the old hash-order accumulation let insertion history

@@ -145,7 +145,7 @@ proptest! {
         for path in enumerate_paths(&ex.catalog, child, &opts) {
             let prop = propagate(&graph, &ex.catalog, &path, origin);
             // Forward mass never exceeds 1.
-            prop_assert!(prop.total_forward() <= 1.0 + 1e-9);
+            prop_assert!(prop.clone().into_sets().0.total() <= 1.0 + 1e-9);
             // Forward and backward supports coincide; all values in (0, 1].
             for (n, &f) in &prop.forward {
                 prop_assert!(f > 0.0 && f <= 1.0 + 1e-9);

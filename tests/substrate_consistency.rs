@@ -54,7 +54,7 @@ fn propagation_forward_mass_is_bounded_on_every_path() {
     for path in paths.iter().take(12) {
         for &r in truth.refs.iter().take(5) {
             let prop = propagate(&graph, &ex.catalog, path, r);
-            let total = prop.total_forward();
+            let total = prop.clone().into_sets().0.total();
             assert!(
                 total <= 1.0 + 1e-9,
                 "path {} leaked mass: {total}",
